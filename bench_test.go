@@ -1,7 +1,9 @@
 // Benchmarks regenerating the paper's evaluation (§5). Each benchmark
 // corresponds to a table or figure; custom metrics carry the numbers the
-// paper reports (pages/s throughput, mean page latency, hit rates).
-// EXPERIMENTS.md records a reference run next to the paper's values.
+// paper reports (pages/s throughput, mean page latency, hit rates). The
+// benchmarks for Experiment 7 onward run the workload.Experiments registry
+// entries, so they write the same BENCH_<name>.json artifacts genieload
+// does.
 //
 // The latency model is the paper-calibrated one scaled down 50x (see
 // internal/latency.PaperScaled); absolute numbers are therefore ~50x the
@@ -12,7 +14,6 @@ package cachegenie
 
 import (
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -40,7 +41,24 @@ func shortPoints[T any](xs []T) []T {
 	return xs
 }
 
-// reportRun executes fn b.N times and reports the mean of the returned
+// runExperiment runs the named workload.Experiments entry once with the
+// benchmark options — writing its artifact — and returns its typed result.
+func runExperiment[R any](b *testing.B, name string) R {
+	b.Helper()
+	for _, e := range workload.Experiments {
+		if e.Name == name {
+			res, err := e.Run(benchOpts())
+			if err != nil {
+				b.Fatal(err)
+			}
+			return res.(R)
+		}
+	}
+	b.Fatalf("no experiment %q in the registry", name)
+	panic("unreachable")
+}
+
+// reportThroughput executes fn b.N times and reports the mean of the returned
 // throughput as pages/s.
 func reportThroughput(b *testing.B, fn func() (float64, error)) {
 	b.Helper()
@@ -341,7 +359,9 @@ func BenchmarkExp6AsyncInvalidation(b *testing.B) {
 		b.Run(fmt.Sprintf("async=%v", async), func(b *testing.B) {
 			var tp, p99 float64
 			for i := 0; i < b.N; i++ {
-				st, err := workload.BuildStackForExp6(opt, workload.ModeUpdate, async)
+				cfg := opt.StackConfig(workload.ModeUpdate)
+				cfg.AsyncInvalidation = async
+				st, err := workload.BuildStack(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -407,50 +427,19 @@ func BenchmarkInvBusPropagation(b *testing.B) {
 // matters more when round trips are real. The sweep is also written to
 // BENCH_exp7.json, which CI uploads as a workflow artifact.
 func BenchmarkExp7RemoteCluster(b *testing.B) {
-	opt := benchOpts()
-	var pts []workload.Exp7Point
-	for _, transport := range []workload.CacheTransport{workload.TransportInProcess, workload.TransportRemote} {
-		for _, async := range []bool{false, true} {
-			b.Run(fmt.Sprintf("%s/async=%v", transport, async), func(b *testing.B) {
-				var tp, p99 float64
-				var last workload.Exp7Point
-				for i := 0; i < b.N; i++ {
-					st, err := workload.BuildStackForExp7(opt, workload.ModeUpdate, transport, async)
-					if err != nil {
-						b.Fatal(err)
-					}
-					rep, err := workload.Run(st, workload.RunConfig{
-						Clients: 15, Sessions: 3, PagesPerSession: 8, WritePct: 60,
-						ZipfA: 2.0, WarmupSessions: 20, RngSeed: 3,
-					})
-					if err != nil {
-						st.Close()
-						b.Fatal(err)
-					}
-					tp += rep.Throughput
-					p99 += float64(rep.ByPage[social.PageCreateBM].P99.Microseconds()) / 1000
-					last = workload.Exp7Point{
-						Transport: transport, Async: async, Throughput: rep.Throughput,
-						MeanWriteLat: rep.ByPage[social.PageCreateBM].Mean,
-						P99WriteLat:  rep.ByPage[social.PageCreateBM].P99,
-					}
-					if st.Genie != nil {
-						last.Bus = st.Genie.InvStats()
-					}
-					st.Close()
-				}
-				b.ReportMetric(tp/float64(b.N), "pages/s")
-				b.ReportMetric(p99/float64(b.N), "write-p99-ms")
-				b.ReportMetric(0, "ns/op")
-				pts = append(pts, last)
-			})
+	tp, p99 := map[string]float64{}, map[string]float64{}
+	for i := 0; i < b.N; i++ {
+		for _, p := range runExperiment[workload.Exp7Result](b, "exp7").Points {
+			point := fmt.Sprintf("%s-async=%v", p.Transport, p.Async)
+			tp[point] += p.Throughput
+			p99[point] += p.WriteP99Ms
 		}
 	}
-	if len(pts) == 4 {
-		if err := workload.WriteExp7JSON("BENCH_exp7.json", pts); err != nil {
-			b.Logf("BENCH_exp7.json not written: %v", err)
-		}
+	for point := range tp {
+		b.ReportMetric(tp[point]/float64(b.N), "pages/s-"+point)
+		b.ReportMetric(p99[point]/float64(b.N), "write-p99-ms-"+point)
 	}
+	b.ReportMetric(0, "ns/op")
 }
 
 // ---------- Experiment 8: node failure and live ring membership ----------
@@ -464,19 +453,13 @@ func BenchmarkExp7RemoteCluster(b *testing.B) {
 // assignment exactly, recovering hit rate. The timeline is also written to
 // BENCH_exp8.json, which CI uploads as a workflow artifact.
 func BenchmarkExp8NodeFailure(b *testing.B) {
-	opt := benchOpts()
-	var last workload.Exp8Result
 	var failFast, dialStorm, degradedHit, rejoinedHit, remap float64
 	for i := 0; i < b.N; i++ {
-		res, err := workload.Exp8(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-		failFast += float64(res.FailFastP99.Nanoseconds()) / 1000
-		dialStorm += float64(res.DialStormP99.Nanoseconds()) / 1000
-		degradedHit += res.Degraded.HitRate
-		rejoinedHit += res.Rejoined.HitRate
+		res := runExperiment[workload.Exp8Result](b, "exp8")
+		failFast += res.FailFastP99Us
+		dialStorm += res.DialStormP99Us
+		degradedHit += res.Phases.Phase("degraded").HitRate
+		rejoinedHit += res.Phases.Phase("rejoined").HitRate
 		remap += res.RemapFraction
 	}
 	b.ReportMetric(failFast/float64(b.N), "failfast-p99-us")
@@ -485,9 +468,6 @@ func BenchmarkExp8NodeFailure(b *testing.B) {
 	b.ReportMetric(rejoinedHit/float64(b.N), "rejoined-hit-rate")
 	b.ReportMetric(remap/float64(b.N), "remap-fraction")
 	b.ReportMetric(0, "ns/op")
-	if err := workload.WriteExp8JSON("BENCH_exp8.json", last); err != nil {
-		b.Logf("BENCH_exp8.json not written: %v", err)
-	}
 }
 
 // ---------- Experiment 11: coordinated distributed load ----------
@@ -502,15 +482,9 @@ func BenchmarkExp8NodeFailure(b *testing.B) {
 // sweep is written to BENCH_exp11.json with the coordinator registry dump
 // alongside, both uploaded as workflow artifacts.
 func BenchmarkExp11Coordinated(b *testing.B) {
-	opt := benchOpts()
-	var last workload.Exp11Result
 	var agg1, aggN, best float64
 	for i := 0; i < b.N; i++ {
-		res, err := workload.Exp11(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+		res := runExperiment[workload.Exp11Result](b, "exp11")
 		first, final := res.Points[0], res.Points[len(res.Points)-1]
 		agg1 += first.AggOpsPerSec
 		aggN += final.AggOpsPerSec
@@ -521,14 +495,6 @@ func BenchmarkExp11Coordinated(b *testing.B) {
 	b.ReportMetric(aggN/n, "ops/s-max-workers")
 	b.ReportMetric(best/n, "best-single-worker-ops/s")
 	b.ReportMetric(0, "ns/op")
-	if err := workload.WriteExp11JSON("BENCH_exp11.json", last); err != nil {
-		b.Logf("BENCH_exp11.json not written: %v", err)
-	}
-	if len(last.Metrics) > 0 {
-		if err := os.WriteFile("BENCH_exp11_metrics.prom", last.Metrics, 0o644); err != nil {
-			b.Logf("BENCH_exp11_metrics.prom not written: %v", err)
-		}
-	}
 }
 
 // BenchmarkExp12CrashRecovery runs the in-process crash drill: write-heavy
@@ -539,15 +505,9 @@ func BenchmarkExp11Coordinated(b *testing.B) {
 // exactly zero at every point (the CI crash-drill job asserts the same
 // against a kill -9'd geniedb process). Written to BENCH_exp12.json.
 func BenchmarkExp12CrashRecovery(b *testing.B) {
-	opt := benchOpts()
-	var last workload.Exp12Result
 	var recMs, violations float64
 	for i := 0; i < b.N; i++ {
-		res, err := workload.Exp12(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+		res := runExperiment[workload.Exp12Result](b, "exp12")
 		final := res.Points[len(res.Points)-1]
 		recMs += final.RecoveryMs
 		for _, p := range res.Points {
@@ -560,9 +520,6 @@ func BenchmarkExp12CrashRecovery(b *testing.B) {
 	b.ReportMetric(0, "ns/op")
 	if violations > 0 {
 		b.Fatalf("crash drill leaked %v violations across runs", violations)
-	}
-	if err := workload.WriteExp12JSON("BENCH_exp12.json", last); err != nil {
-		b.Logf("BENCH_exp12.json not written: %v", err)
 	}
 }
 
@@ -578,21 +535,15 @@ func BenchmarkExp12CrashRecovery(b *testing.B) {
 // reached every replica. The timeline is also written to BENCH_exp10.json,
 // which CI uploads as a workflow artifact.
 func BenchmarkExp10ReplicatedFailover(b *testing.B) {
-	opt := benchOpts()
-	var last workload.Exp10Result
 	var hitR1, hitR2, stale float64
 	for i := 0; i < b.N; i++ {
-		res, err := workload.Exp10(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+		res := runExperiment[workload.Exp10Result](b, "exp10")
 		if tl, ok := res.Timeline(1); ok {
-			hitR1 += tl.Degraded.HitRate
+			hitR1 += tl.Phases.Phase("degraded").HitRate
 			stale += float64(tl.DivergentKeys + tl.OrphanKeys)
 		}
 		if tl, ok := res.Timeline(workload.Exp10Replicas); ok {
-			hitR2 += tl.Degraded.HitRate
+			hitR2 += tl.Phases.Phase("degraded").HitRate
 			stale += float64(tl.DivergentKeys + tl.OrphanKeys)
 		}
 	}
@@ -600,68 +551,39 @@ func BenchmarkExp10ReplicatedFailover(b *testing.B) {
 	b.ReportMetric(hitR2/float64(b.N), "degraded-hit-r2")
 	b.ReportMetric(stale/float64(b.N), "stale-keys")
 	b.ReportMetric(0, "ns/op")
-	if err := workload.WriteExp10JSON("BENCH_exp10.json", last); err != nil {
-		b.Logf("BENCH_exp10.json not written: %v", err)
-	}
-	// The final timeline's /metrics-equivalent dump rides along as its own
-	// artifact: the full Prometheus view of the tier (store, server, pool,
-	// invalidation bus, cluster series) as it stood at the end of the drill.
-	if tl, ok := last.Timeline(workload.Exp10Replicas); ok && len(tl.Metrics) > 0 {
-		if err := os.WriteFile("BENCH_exp10_metrics.prom", tl.Metrics, 0o644); err != nil {
-			b.Logf("BENCH_exp10_metrics.prom not written: %v", err)
-		}
-	}
 }
 
 // ---------- Experiment 13: hot keys under zipf skew + flash crowd ----------
 
 // BenchmarkExp13HotKeys runs the zipf s=1.1 + flash-crowd workload on the
-// 4-node R=2 tier with each hot-key mitigation toggled independently.
-// Expected shape: all-off concentrates gets on the hot key's preferred node
-// (imbalance well above 1) and pays a read-tail penalty; spreading flattens
-// the per-node imbalance toward 1; the L1 near-cache absorbs the hot reads
-// before the wire; single-flight collapses the stampede's database loads to
-// ~1 per hot key per miss window; all-on improves p999 and imbalance over
-// all-off at a fraction of the database loads. The sweep is written to
-// BENCH_exp13.json (plus the all-on point's metrics dump), which CI uploads
-// as workflow artifacts.
+// 4-node R=2 tier with single-flight off and on. Expected shape:
+// single-flight collapses the stampede's database loads to ~1 per hot key
+// per miss window. The sweep is written to BENCH_exp13.json (plus the
+// single-flight point's metrics dump), which CI uploads as workflow
+// artifacts.
 func BenchmarkExp13HotKeys(b *testing.B) {
-	opt := benchOpts()
-	var last workload.Exp13Result
-	var p999Off, p999On, imbOff, imbOn, dbOff, dbOn float64
+	var p999Off, p999SF, imbOff, imbSF, dbOff, dbSF float64
 	for i := 0; i < b.N; i++ {
-		res, err := workload.Exp13(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
+		res := runExperiment[workload.Exp13Result](b, "exp13")
 		if p, ok := res.Point("all-off"); ok {
-			p999Off += float64(p.ReadP999.Microseconds())
+			p999Off += p.ReadP999Ms * 1000
 			imbOff += p.Imbalance
 			dbOff += float64(p.DBReadLoads)
 		}
-		if p, ok := res.Point("all-on"); ok {
-			p999On += float64(p.ReadP999.Microseconds())
-			imbOn += p.Imbalance
-			dbOn += float64(p.DBReadLoads)
+		if p, ok := res.Point("singleflight"); ok {
+			p999SF += p.ReadP999Ms * 1000
+			imbSF += p.Imbalance
+			dbSF += float64(p.DBReadLoads)
 		}
 	}
 	n := float64(b.N)
 	b.ReportMetric(p999Off/n, "p999us-off")
-	b.ReportMetric(p999On/n, "p999us-on")
+	b.ReportMetric(p999SF/n, "p999us-sf")
 	b.ReportMetric(imbOff/n, "imbalance-off")
-	b.ReportMetric(imbOn/n, "imbalance-on")
+	b.ReportMetric(imbSF/n, "imbalance-sf")
 	b.ReportMetric(dbOff/n, "db-loads-off")
-	b.ReportMetric(dbOn/n, "db-loads-on")
+	b.ReportMetric(dbSF/n, "db-loads-sf")
 	b.ReportMetric(0, "ns/op")
-	if err := workload.WriteExp13JSON("BENCH_exp13.json", last); err != nil {
-		b.Logf("BENCH_exp13.json not written: %v", err)
-	}
-	if p, ok := last.Point("all-on"); ok && len(p.Metrics) > 0 {
-		if err := os.WriteFile("BENCH_exp13_metrics.prom", p.Metrics, 0o644); err != nil {
-			b.Logf("BENCH_exp13_metrics.prom not written: %v", err)
-		}
-	}
 }
 
 // ---------- Experiment 9: single-node multi-core scaling ----------
@@ -676,14 +598,10 @@ func BenchmarkExp13HotKeys(b *testing.B) {
 // separate on a runner that has cores to scale over), which CI uploads as a
 // workflow artifact.
 func BenchmarkExp9CoreScaling(b *testing.B) {
-	opt := benchOpts()
 	var last workload.Exp9Result
 	var localSpeed, remoteSpeed float64
 	for i := 0; i < b.N; i++ {
-		res, err := workload.Exp9(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runExperiment[workload.Exp9Result](b, "exp9")
 		last = res
 		clients := workload.Exp9Clients(true)
 		maxC := clients[len(clients)-1]
@@ -694,9 +612,6 @@ func BenchmarkExp9CoreScaling(b *testing.B) {
 	b.ReportMetric(remoteSpeed/float64(b.N), "remote-speedup")
 	b.ReportMetric(float64(last.GOMAXPROCS), "gomaxprocs")
 	b.ReportMetric(0, "ns/op")
-	if err := workload.WriteExp9JSON("BENCH_exp9.json", last); err != nil {
-		b.Logf("BENCH_exp9.json not written: %v", err)
-	}
 }
 
 // ---------- Ablations (design choices from DESIGN.md) ----------
@@ -796,7 +711,9 @@ func BenchmarkAblationTriggerConnectionReuse(b *testing.B) {
 	for _, reuse := range []bool{false, true} {
 		b.Run(fmt.Sprintf("reuse=%v", reuse), func(b *testing.B) {
 			reportThroughput(b, func() (float64, error) {
-				st, err := workload.BuildStackForBench(opt, workload.ModeUpdate, reuse, 1)
+				cfg := opt.StackConfig(workload.ModeUpdate)
+				cfg.ReuseTriggerConnections = reuse
+				st, err := workload.BuildStack(cfg)
 				if err != nil {
 					return 0, err
 				}
@@ -822,7 +739,9 @@ func BenchmarkAblationCacheCluster(b *testing.B) {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
 			var hit float64
 			for i := 0; i < b.N; i++ {
-				st, err := workload.BuildStackForBench(opt, workload.ModeUpdate, false, nodes)
+				cfg := opt.StackConfig(workload.ModeUpdate)
+				cfg.CacheNodes = nodes
+				st, err := workload.BuildStack(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

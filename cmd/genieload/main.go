@@ -1,11 +1,11 @@
 // Command genieload regenerates the paper's evaluation (§5): every figure
-// and table is one -experiment target. Results print as aligned text
-// series; EXPERIMENTS.md records a reference run against the paper's
-// numbers.
+// and table is one -experiment target, an entry of the workload.Experiments
+// registry. Results print as aligned text series; exp7 onward also write a
+// BENCH_<name>.json artifact to the working directory.
 //
 // Usage:
 //
-//	genieload -experiment all            # everything (minutes)
+//	genieload -experiment all            # everything, in registry order (minutes)
 //	genieload -experiment exp1           # Fig 2a/2b client sweep
 //	genieload -experiment table2         # Table 2 per-page latency
 //	genieload -experiment exp2           # Fig 3a read/write mix
@@ -20,7 +20,7 @@
 //	genieload -experiment exp10          # R-way replication: failover routing + key handoff
 //	genieload -experiment exp11          # coordinated distributed load (in-process sweep)
 //	genieload -experiment exp12          # crash drill: WAL recovery + epoch cache flush
-//	genieload -experiment exp13          # hot keys: zipf skew + flash crowd vs spreading/L1/single-flight
+//	genieload -experiment exp13          # hot keys: zipf skew + flash crowd, single-flight off vs on
 //	genieload -experiment micro          # §5.3 microbenchmarks
 //	genieload -experiment effort         # §5.2 programmer effort
 //	genieload -experiment ablation       # template-invalidation baseline
@@ -73,20 +73,18 @@
 // single-owner routing; exp10 sweeps R itself).
 //
 // exp13 is the hot-key drill: a zipf s=1.1 user popularity plus a flash
-// crowd stampeding one page, run with each mitigation — hot-read spreading
-// over the replica set, the client-side L1 near-cache, single-flight miss
-// coalescing — toggled independently, written to BENCH_exp13.json. The
-// -zipf-s and -flash-crowd flags apply the same skew knobs to every OTHER
-// experiment's workload (0 = each experiment's own default).
+// crowd stampeding one page, run with single-flight miss coalescing off and
+// on, written to BENCH_exp13.json. The -zipf-s and -flash-crowd flags apply
+// the same skew knobs to every OTHER experiment's workload (0 = each
+// experiment's own default).
 //
 // Observability: -metrics-addr serves Prometheus /metrics, a /metrics.json
 // snapshot, a breaker-aware /healthz, and /debug/pprof while experiments
 // run — every stack an experiment builds registers its stores, servers,
 // pools, ring, and Genie into the one registry. -tick prints a live
 // per-interval cache-tier line (ops/s, p50/p99 from differenced mergeable
-// histograms, hit rate, breaker states, plus hot-key mitigation activity:
-// spread reads, L1 hits, coalesced misses) without touching the
-// experiment's own measurements.
+// histograms, hit rate, breaker states, plus misses coalesced by
+// single-flight) without touching the experiment's own measurements.
 package main
 
 import (
@@ -120,7 +118,7 @@ func startTicker(reg *obs.Registry, interval time.Duration) (stop func()) {
 		defer t.Stop()
 		var prevOps obs.HistSnapshot
 		var prevHits, prevMisses int64
-		var prevSpread, prevL1, prevShared int64
+		var prevShared int64
 		last := time.Now()
 		for {
 			select {
@@ -153,20 +151,16 @@ func startTicker(reg *obs.Registry, interval time.Duration) (stop func()) {
 				if breakers == "" {
 					breakers = "-"
 				}
-				// Hot-key mitigation activity, per interval: reads rotated
-				// across replicas, reads absorbed by the L1 near-cache, and
-				// misses that piggybacked on a coalesced single-flight load.
-				// All zero when the mitigations are off.
-				spread := snap.SumCounters("cachegenie_hotkey_spread_reads_total")
-				l1hits := snap.SumCounters("cachegenie_l1_hits_total")
+				// Misses that piggybacked on a coalesced single-flight load
+				// this interval (zero with single-flight off).
 				shared := snap.SumCounters("cachegenie_singleflight_shared_total")
-				dspread, dl1, dshared := spread-prevSpread, l1hits-prevL1, shared-prevShared
-				prevSpread, prevL1, prevShared = spread, l1hits, shared
-				fmt.Printf("tick %9.0f cache-ops/s  p50=%-10v p99=%-10v hit=%s  breakers=%s  spread=%d l1hit=%d coalesced=%d\n",
+				dshared := shared - prevShared
+				prevShared = shared
+				fmt.Printf("tick %9.0f cache-ops/s  p50=%-10v p99=%-10v hit=%s  breakers=%s  coalesced=%d\n",
 					float64(iv.Count)/elapsed.Seconds(),
 					time.Duration(iv.Quantile(0.50)).Round(time.Microsecond),
 					time.Duration(iv.Quantile(0.99)).Round(time.Microsecond),
-					hit, breakers, dspread, dl1, dshared)
+					hit, breakers, dshared)
 			}
 		}
 	}()
@@ -197,25 +191,14 @@ func runCoordinatedRun(listenAddr string, workers int, spec loadctl.Spec, joinTO
 		log.Fatalf("genieload: coordinated run failed: %v", err)
 	}
 
-	reg := obs.NewRegistry()
-	workload.Exp11RegisterMerged(reg, m)
-	p := workload.Exp11PointFromMerged(m)
-	res := workload.Exp11Result{
-		Nodes:    len(spec.CacheAddrs),
-		Replicas: spec.Replicas,
-		Points:   []workload.Exp11Point{p},
+	res, err := workload.Exp11FromMerged(m, len(spec.CacheAddrs), spec.Replicas)
+	if err == nil {
+		err = workload.WriteArtifact("BENCH_exp11", res, res.Metrics)
 	}
-	if err := workload.WriteExp11JSON("BENCH_exp11.json", res); err != nil {
-		log.Fatalf("genieload: %v", err)
-	}
-	prom, err := os.Create("BENCH_exp11_metrics.prom")
 	if err != nil {
 		log.Fatalf("genieload: %v", err)
 	}
-	if err := reg.WritePrometheus(prom); err != nil {
-		log.Fatalf("genieload: %v", err)
-	}
-	_ = prom.Close()
+	p := res.Points[0]
 	fmt.Printf("merged %d workers: %.0f ops/s aggregate (best single worker %.0f)  p50=%.0fµs p99=%.0fµs p999=%.0fµs hit=%.3f\n",
 		p.Workers, p.AggOpsPerSec, p.BestWorkerOpsPerSec, p.P50us, p.P99us, p.P999us, p.HitRate)
 	fmt.Println("written to BENCH_exp11.json and BENCH_exp11_metrics.prom")
@@ -247,7 +230,7 @@ func runCoordinatedWorker(join, id string, addrOverride []string, joinTO time.Du
 }
 
 func main() {
-	experiment := flag.String("experiment", "all", "experiment to run (all, exp1, table2, exp2, exp3, exp4, exp4b, exp5, exp6, exp7, exp8, exp9, exp10, exp11, exp12, exp13, micro, effort, ablation)")
+	experiment := flag.String("experiment", "all", "experiment to run ("+workload.ExperimentNames(workload.Experiments)+")")
 	scale := flag.Int("scale", 50, "latency scale divisor (1 = paper-absolute latencies, slower)")
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
 	async := flag.Bool("async", false, "route trigger cache maintenance through the async invalidation bus")
@@ -308,7 +291,7 @@ func main() {
 			if err != nil {
 				log.Fatalf("genieload: %v", err)
 			}
-			if err := workload.WriteExp12JSON("BENCH_exp12.json", res); err != nil {
+			if err := workload.WriteArtifact("BENCH_exp12", res, nil); err != nil {
 				log.Fatalf("genieload: %v", err)
 			}
 			fmt.Println("audit written to BENCH_exp12.json")
@@ -366,215 +349,7 @@ func main() {
 			defer startTicker(reg, *tick)()
 		}
 	}
-	run := func(name string, fn func() error) {
-		fmt.Printf("\n== %s ==\n", name)
-		start := time.Now()
-		if err := fn(); err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
-		fmt.Printf("-- %s done in %v\n", name, time.Since(start).Round(time.Millisecond))
-	}
-
-	all := *experiment == "all"
-	matched := all
-
-	if all || *experiment == "micro" {
-		matched = true
-		run("§5.3 microbenchmarks", func() error {
-			ml, err := workload.MicroLookup(opt)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("db B+tree lookup: %v   cache lookup: %v   ratio: %.1fx (paper: 10-25x)\n",
-				ml.DBLookup.Round(time.Microsecond), ml.CacheLookup.Round(time.Microsecond), ml.Ratio)
-			mt, err := workload.MicroTrigger(opt)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("plain INSERT: %v   no-op trigger: %v (+%.0f%%)   trigger+connect: %v (+%.0f%%)   per cache op: %v\n",
-				mt.PlainInsert.Round(time.Microsecond), mt.NoopTrigger.Round(time.Microsecond), mt.NoopOverheadPct,
-				mt.ConnectTrigger.Round(time.Microsecond), mt.TotalOverheadPct,
-				mt.PerCacheOp.Round(time.Microsecond))
-			fmt.Println("(paper: 6.3ms plain, 6.5ms no-op, 11.9ms with connect, 0.2ms per op; overheads 3%-400%)")
-			return nil
-		})
-	}
-	if all || *experiment == "effort" {
-		matched = true
-		run("§5.2 programmer effort", func() error {
-			rep, err := workload.Effort()
-			if err != nil {
-				return err
-			}
-			fmt.Printf("cached objects declared : %d   (paper: 14)\n", rep.CachedObjects)
-			fmt.Printf("app lines changed       : %d cacheable(...) calls (paper: ~20 lines)\n", rep.AppLinesChanged)
-			fmt.Printf("triggers generated      : %d   (paper: 48)\n", rep.Triggers)
-			fmt.Printf("trigger source lines    : %d   (paper: ~1720)\n", rep.GeneratedLines)
-			return nil
-		})
-	}
-	if all || *experiment == "exp1" {
-		matched = true
-		run("Experiment 1 (Fig 2a/2b): throughput & latency vs clients", func() error {
-			_, err := workload.Exp1(opt, nil)
-			return err
-		})
-	}
-	if all || *experiment == "table2" {
-		matched = true
-		run("Table 2: per-page-type latency at 15 clients", func() error {
-			_, err := workload.Exp1PageTable(opt)
-			return err
-		})
-	}
-	if all || *experiment == "exp2" {
-		matched = true
-		run("Experiment 2 (Fig 3a): read/write mix", func() error {
-			_, err := workload.Exp2(opt, nil)
-			return err
-		})
-	}
-	if all || *experiment == "exp3" {
-		matched = true
-		run("Experiment 3 (Fig 3b): zipf skew", func() error {
-			_, err := workload.Exp3(opt, nil)
-			return err
-		})
-	}
-	if all || *experiment == "exp4" {
-		matched = true
-		run("Experiment 4 (Fig 3c): cache size", func() error {
-			_, err := workload.Exp4(opt, nil)
-			return err
-		})
-	}
-	if all || *experiment == "exp4b" {
-		matched = true
-		run("Experiment 4 variant: cache colocated with the database", func() error {
-			_, err := workload.Exp4Colocated(opt)
-			return err
-		})
-	}
-	if all || *experiment == "exp5" {
-		matched = true
-		run("Experiment 5: trigger overhead under load", func() error {
-			_, err := workload.Exp5(opt)
-			return err
-		})
-	}
-	if all || *experiment == "exp6" {
-		matched = true
-		run("Experiment 6: sync vs async trigger propagation (invalidation bus)", func() error {
-			_, err := workload.Exp6(opt)
-			return err
-		})
-	}
-	if all || *experiment == "exp7" {
-		matched = true
-		run("Experiment 7: remote cache tier (real mop/TCP nodes, pooled clients)", func() error {
-			pts, err := workload.Exp7(opt)
-			if err != nil {
-				return err
-			}
-			if err := workload.WriteExp7JSON("BENCH_exp7.json", pts); err != nil {
-				return err
-			}
-			fmt.Println("series written to BENCH_exp7.json")
-			return nil
-		})
-	}
-	if all || *experiment == "exp8" {
-		matched = true
-		run("Experiment 8: node failure (circuit breaker, live ring membership)", func() error {
-			res, err := workload.Exp8(opt)
-			if err != nil {
-				return err
-			}
-			if err := workload.WriteExp8JSON("BENCH_exp8.json", res); err != nil {
-				return err
-			}
-			fmt.Println("timeline written to BENCH_exp8.json")
-			return nil
-		})
-	}
-	if all || *experiment == "exp9" {
-		matched = true
-		run("Experiment 9: single-node multi-core scaling (lock-striped store)", func() error {
-			res, err := workload.Exp9(opt)
-			if err != nil {
-				return err
-			}
-			if err := workload.WriteExp9JSON("BENCH_exp9.json", res); err != nil {
-				return err
-			}
-			fmt.Println("sweep written to BENCH_exp9.json")
-			return nil
-		})
-	}
-	if all || *experiment == "exp10" {
-		matched = true
-		run("Experiment 10: replica-aware cluster tier (R-way replication, failover, key handoff)", func() error {
-			res, err := workload.Exp10(opt)
-			if err != nil {
-				return err
-			}
-			if err := workload.WriteExp10JSON("BENCH_exp10.json", res); err != nil {
-				return err
-			}
-			fmt.Println("timelines written to BENCH_exp10.json")
-			return nil
-		})
-	}
-	if all || *experiment == "exp11" {
-		matched = true
-		run("Experiment 11: coordinated distributed load (coordinator + workers over loopback)", func() error {
-			res, err := workload.Exp11(opt)
-			if err != nil {
-				return err
-			}
-			if err := workload.WriteExp11JSON("BENCH_exp11.json", res); err != nil {
-				return err
-			}
-			fmt.Println("sweep written to BENCH_exp11.json")
-			return nil
-		})
-	}
-	if all || *experiment == "exp12" {
-		matched = true
-		run("Experiment 12: crash drill (WAL recovery + recovery-epoch cache flush)", func() error {
-			res, err := workload.Exp12(opt)
-			if err != nil {
-				return err
-			}
-			if err := workload.WriteExp12JSON("BENCH_exp12.json", res); err != nil {
-				return err
-			}
-			fmt.Println("drill written to BENCH_exp12.json")
-			return nil
-		})
-	}
-	if all || *experiment == "exp13" {
-		matched = true
-		run("Experiment 13: hot keys (zipf skew + flash crowd; spreading, L1, single-flight)", func() error {
-			res, err := workload.Exp13(opt)
-			if err != nil {
-				return err
-			}
-			if err := workload.WriteExp13JSON("BENCH_exp13.json", res); err != nil {
-				return err
-			}
-			fmt.Println("sweep written to BENCH_exp13.json")
-			return nil
-		})
-	}
-	if all || *experiment == "ablation" {
-		matched = true
-		run("Ablation: template-based invalidation baseline", func() error {
-			_, err := workload.AblationTemplateInvalidation(opt)
-			return err
-		})
-	}
-	if !matched {
-		log.Fatalf("unknown experiment %q", *experiment)
+	if err := workload.RunExperiments(workload.Experiments, *experiment, opt); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"net"
 	"time"
 
-	"cachegenie/internal/hotkey"
 	"cachegenie/internal/obs"
 )
 
@@ -83,12 +82,6 @@ type ServerMetrics struct {
 	Errors      obs.Counter // commands answered with an error line
 	ConnsOpened obs.Counter
 	ActiveConns obs.Gauge
-	// HotKeys samples get/gets key popularity (hotkey.Detector) so each
-	// node reports — over /metrics and the wire stats command — how much
-	// of its read load concentrates on flagged-hot keys. NewServer always
-	// attaches one; a zero ServerMetrics leaves it nil and the sampler is
-	// skipped.
-	HotKeys *hotkey.Detector
 }
 
 // Register attaches the metrics to reg under a node label ("" omits it).
@@ -108,14 +101,6 @@ func (m *ServerMetrics) Register(reg *obs.Registry, node string) {
 		"connections accepted", &m.ConnsOpened)
 	reg.RegisterGauge("cachegenie_server_active_conns", nodeLabels(node),
 		"connections currently open", &m.ActiveConns)
-	if hk := m.HotKeys; hk != nil {
-		reg.CounterFunc("cachegenie_hotkey_observed_total", nodeLabels(node),
-			"reads observed by the popularity sampler", func() int64 { return hk.Stats().Observed })
-		reg.CounterFunc("cachegenie_hotkey_flagged_total", nodeLabels(node),
-			"reads judged hot at observation time", func() int64 { return hk.Stats().Flagged })
-		reg.CounterFunc("cachegenie_hotkey_decays_total", nodeLabels(node),
-			"popularity-sampler decay sweeps", func() int64 { return hk.Stats().Decays })
-	}
 }
 
 // PoolMetrics is a Pool's always-on instrumentation: client-observed
@@ -187,22 +172,6 @@ func (p *Pool) RegisterMetrics(reg *obs.Registry, node string) {
 		"ops short-circuited by an open breaker", p.failFast.Load)
 	reg.CounterFunc("cachegenie_pool_breaker_trips_total", labels,
 		"closed-to-open breaker transitions", p.trips.Load)
-	if l := p.l1; l != nil {
-		reg.CounterFunc("cachegenie_l1_hits_total", labels,
-			"near-cache lookups served locally without a round trip", l.hits.Load)
-		reg.CounterFunc("cachegenie_l1_misses_total", labels,
-			"near-cache lookups that fell through to the server", l.misses.Load)
-		reg.CounterFunc("cachegenie_l1_stores_total", labels,
-			"near-cache entries written after a server hit", l.stores.Load)
-		reg.CounterFunc("cachegenie_l1_evictions_total", labels,
-			"near-cache entries dropped to stay within the size bound", l.evictions.Load)
-		reg.CounterFunc("cachegenie_l1_invalidations_total", labels,
-			"near-cache entries dropped by a write or delete on their key", l.invalidations.Load)
-		reg.CounterFunc("cachegenie_l1_expired_total", labels,
-			"near-cache lookups that found an entry past its lease", l.expired.Load)
-		reg.GaugeFunc("cachegenie_l1_items", labels,
-			"near-cache entries currently resident", func() int64 { return l.stats().Items })
-	}
 	reg.CounterFunc("cachegenie_pool_waits_total", labels,
 		"checkouts that blocked on the connection cap", p.waits.Load)
 	reg.CounterFunc("cachegenie_pool_probes_total", labels,

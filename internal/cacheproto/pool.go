@@ -87,21 +87,6 @@ type PoolConfig struct {
 	// against a dead node attempts a fresh dial. Used as the Experiment 8
 	// baseline; production callers should leave it false.
 	DisableBreaker bool
-	// L1Entries, when positive, puts a near-cache of that many entries in
-	// front of the pool: Get serves lease-live local entries without a
-	// network round trip, every write-shaped operation through the pool
-	// invalidates its key locally (which is how invalidation-bus fan-out
-	// flushes reach it), and entries self-expire after L1TTL so an
-	// invalidation this client never saw still cannot produce a read
-	// staler than the lease. Sized for a few thousand entries — it exists
-	// to absorb hot-key read storms, not to mirror the node.
-	L1Entries int
-	// L1TTL is the near-cache entry lease (<= 0 picks DefaultL1TTL, which
-	// matches the invalidation bus's default BatchWindow). Deployments
-	// that raise the bus BatchWindow should raise L1TTL with it — the
-	// stack wires the two together — but never above the staleness the
-	// tier is willing to serve.
-	L1TTL time.Duration
 }
 
 // Pool is a connection-pooled cacheproto client for one cache server. It
@@ -131,7 +116,6 @@ type PoolConfig struct {
 type Pool struct {
 	cfg PoolConfig
 	m   *PoolMetrics // always-on; see PoolMetrics
-	l1  *l1cache     // near-cache, nil unless PoolConfig.L1Entries > 0
 
 	// mu guards checkout state only; dials and round trips happen with it
 	// released (cond.Wait releases it too). lockscope-enforced.
@@ -188,9 +172,6 @@ func NewPoolWithConfig(cfg PoolConfig) *Pool {
 		cfg.ProbeInterval = DefaultProbeInterval
 	}
 	p := &Pool{cfg: cfg, m: &PoolMetrics{}, closeCh: make(chan struct{})}
-	if cfg.L1Entries > 0 {
-		p.l1 = newL1(cfg.L1Entries, cfg.L1TTL)
-	}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
@@ -225,14 +206,6 @@ type PoolStats struct {
 	Trips     int64 // closed→open breaker transitions
 	Probes    int64 // background probe attempts while open
 	State     BreakerState
-}
-
-// L1Stats returns near-cache counters; all-zero when the L1 is disabled.
-func (p *Pool) L1Stats() L1Stats {
-	if p.l1 == nil {
-		return L1Stats{}
-	}
-	return p.l1.stats()
 }
 
 // Stats returns a snapshot of pool counters.
@@ -456,17 +429,8 @@ func (p *Pool) probe() *Client {
 }
 
 // Get implements kvcache.Cache. Checkout or network errors surface as
-// misses; callers fall back to the database, the correct degraded
-// behaviour. With the near-cache enabled a lease-live L1 entry is served
-// without any network round trip (an open breaker doesn't block it either
-// — the freshest locally known value beats a guaranteed miss); a server
-// hit re-arms the key's lease on the way out.
+// misses; callers fall back to the database, the correct degraded behaviour.
 func (p *Pool) Get(key string) ([]byte, bool) {
-	if l := p.l1; l != nil {
-		if v, ok := l.lookup(key, time.Now().UnixNano()); ok {
-			return v, true
-		}
-	}
 	start := time.Now()
 	c, err := p.get()
 	if err != nil {
@@ -478,9 +442,6 @@ func (p *Pool) Get(key string) ([]byte, bool) {
 	p.done(opGet, start, err)
 	if err != nil {
 		return nil, false
-	}
-	if ok && p.l1 != nil {
-		p.l1.store(key, v, time.Now().UnixNano())
 	}
 	return v, ok
 }
@@ -502,13 +463,8 @@ func (p *Pool) Gets(key string) ([]byte, uint64, bool) {
 	return v, cas, ok
 }
 
-// Set implements kvcache.Cache. A near-cached key is invalidated, not
-// updated in place: the server is the arbiter of racing writes, and the
-// next read re-earns the entry from whatever value actually won.
+// Set implements kvcache.Cache.
 func (p *Pool) Set(key string, value []byte, ttl time.Duration) {
-	if p.l1 != nil {
-		p.l1.invalidate(key)
-	}
 	start := time.Now()
 	c, err := p.get()
 	if err != nil {
@@ -522,9 +478,6 @@ func (p *Pool) Set(key string, value []byte, ttl time.Duration) {
 
 // Add implements kvcache.Cache.
 func (p *Pool) Add(key string, value []byte, ttl time.Duration) bool {
-	if p.l1 != nil {
-		p.l1.invalidate(key)
-	}
 	start := time.Now()
 	c, err := p.get()
 	if err != nil {
@@ -539,9 +492,6 @@ func (p *Pool) Add(key string, value []byte, ttl time.Duration) bool {
 
 // Cas implements kvcache.Cache.
 func (p *Pool) Cas(key string, value []byte, ttl time.Duration, cas uint64) kvcache.CasResult {
-	if p.l1 != nil {
-		p.l1.invalidate(key)
-	}
 	start := time.Now()
 	c, err := p.get()
 	if err != nil {
@@ -554,13 +504,8 @@ func (p *Pool) Cas(key string, value []byte, ttl time.Duration, cas uint64) kvca
 	return r
 }
 
-// Delete implements kvcache.Cache. This is the path invalidation-bus
-// flushes ride (bus → ring fan-out → this pool), so the near-cache entry
-// dies here with the server's copy.
+// Delete implements kvcache.Cache.
 func (p *Pool) Delete(key string) bool {
-	if p.l1 != nil {
-		p.l1.invalidate(key)
-	}
 	start := time.Now()
 	c, err := p.get()
 	if err != nil {
@@ -575,9 +520,6 @@ func (p *Pool) Delete(key string) bool {
 
 // Incr implements kvcache.Cache.
 func (p *Pool) Incr(key string, delta int64) (int64, bool) {
-	if p.l1 != nil {
-		p.l1.invalidate(key)
-	}
 	start := time.Now()
 	c, err := p.get()
 	if err != nil {
@@ -592,9 +534,6 @@ func (p *Pool) Incr(key string, delta int64) (int64, bool) {
 
 // FlushAll implements kvcache.Cache.
 func (p *Pool) FlushAll() {
-	if p.l1 != nil {
-		p.l1.flush()
-	}
 	start := time.Now()
 	c, err := p.get()
 	if err != nil {
@@ -612,13 +551,6 @@ func (p *Pool) FlushAll() {
 func (p *Pool) ApplyBatch(ops []kvcache.BatchOp) []kvcache.BatchResult {
 	if len(ops) == 0 {
 		return nil
-	}
-	if p.l1 != nil {
-		// Every batched mutation invalidates its near-cache entry — batches
-		// are exactly how the invalidation bus delivers trigger maintenance.
-		for i := range ops {
-			p.l1.invalidate(ops[i].Key)
-		}
 	}
 	start := time.Now()
 	c, err := p.get()

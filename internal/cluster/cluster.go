@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cachegenie/internal/hotkey"
 	"cachegenie/internal/kvcache"
 )
 
@@ -43,7 +42,6 @@ type Option func(*ringConfig)
 type ringConfig struct {
 	replicas      int
 	handoffWarmup bool
-	hotkey        *hotkey.Config
 }
 
 func defaultRingConfig() ringConfig {
@@ -71,21 +69,6 @@ func WithReplicas(r int) Option {
 // fix but lets the new owners start cold.
 func WithHandoffWarmup(on bool) Option {
 	return func(c *ringConfig) { c.handoffWarmup = on }
-}
-
-// WithHotKeySpreading attaches a popularity sampler (hotkey.Detector) to
-// the ring's read path: every Get is observed, and reads for keys the
-// sampler flags hot rotate round-robin across the key's full replica set
-// instead of always landing on the preferred replica — a celebrity key's
-// read load then divides by R instead of capping one node. Writes,
-// deletes and CAS keep their existing routing, so per-key linearization
-// and trigger-invalidation fan-out are untouched; a replica found missing
-// the hot value during a rotated read is repaired with an add-if-absent,
-// the same bounded-staleness mechanism failover reads use. With R == 1
-// detection still runs (the counters show the skew) but reads cannot
-// spread. Zero cfg fields take the hotkey package defaults.
-func WithHotKeySpreading(cfg hotkey.Config) Option {
-	return func(c *ringConfig) { c.hotkey = &cfg }
 }
 
 // ReplicaStats counts replica-set routing activity. The counters live with
@@ -123,53 +106,6 @@ func (c *replicaCounters) snapshot() ReplicaStats {
 	}
 }
 
-// HotKeyStats counts popularity detection and hot-read spreading. Like
-// ReplicaStats, the counters live with the Manager and survive
-// membership-change ring rebuilds.
-type HotKeyStats struct {
-	// Observed/Flagged/Decays mirror the sampler (hotkey.Stats): total
-	// reads observed, reads judged hot at observation time, decay sweeps.
-	Observed int64
-	Flagged  int64
-	Decays   int64
-	// SpreadReads are hot-key reads served through the rotated replica
-	// order instead of preferred-first.
-	SpreadReads int64
-	// SpreadRepairs are rotated reads that found a replica missing the hot
-	// value and repaired it with an add-if-absent.
-	SpreadRepairs int64
-}
-
-// HotKeyStatsReporter is implemented by Ring and Manager when hot-key
-// spreading is enabled; core.Genie uses it to surface the counters without
-// knowing the cache topology.
-type HotKeyStatsReporter interface {
-	HotKeyStats() HotKeyStats
-}
-
-// hotRouter bundles the popularity sampler with the rotation state; shared
-// across Manager ring rebuilds exactly like replicaCounters.
-type hotRouter struct {
-	det     *hotkey.Detector
-	rr      atomic.Uint64 // round-robin cursor over the replica set
-	spread  atomic.Int64
-	repairs atomic.Int64
-}
-
-func (hr *hotRouter) snapshot() HotKeyStats {
-	if hr == nil {
-		return HotKeyStats{}
-	}
-	ds := hr.det.Stats()
-	return HotKeyStats{
-		Observed:      ds.Observed,
-		Flagged:       ds.Flagged,
-		Decays:        ds.Decays,
-		SpreadReads:   hr.spread.Load(),
-		SpreadRepairs: hr.repairs.Load(),
-	}
-}
-
 // Ring is a consistent-hash ring of caches. It implements kvcache.Cache, so
 // the rest of the system cannot tell one server from many. Ring is immutable
 // after construction; Manager rebuilds one to change membership.
@@ -190,9 +126,6 @@ type Ring struct {
 	// replica sets existed.
 	replicas int
 	counters *replicaCounters
-	// hot, when non-nil, is the popularity sampler + rotation state for
-	// hot-read spreading (WithHotKeySpreading).
-	hot *hotRouter
 }
 
 var _ kvcache.Cache = (*Ring)(nil)
@@ -239,9 +172,6 @@ func NewRingIDs(ids []string, nodes []kvcache.Cache, opts ...Option) (*Ring, err
 		cfg.replicas = len(nodes)
 	}
 	r := &Ring{ids: ids, nodes: nodes, replicas: cfg.replicas, counters: &replicaCounters{}}
-	if cfg.hotkey != nil {
-		r.hot = &hotRouter{det: hotkey.New(*cfg.hotkey)}
-	}
 	for ni, id := range ids {
 		for v := 0; v < virtualNodes; v++ {
 			h := hash64(fmt.Sprintf("%s-vn-%d", id, v))
@@ -265,11 +195,30 @@ func NewRingIDs(ids []string, nodes []kvcache.Cache, opts ...Option) (*Ring, err
 	return r, nil
 }
 
-// hash64 is FNV-1a with a murmur3-style finalizer; bare FNV clusters badly
-// on sequential keys ("key-1", "key-2", ...), which is exactly what cache
-// keys look like. The implementation lives in hotkey.Hash so the routing
-// and the popularity sampler share one hash of each key.
-func hash64(s string) uint64 { return hotkey.Hash(s) }
+// hash64 is an allocation-free FNV-1a over key with a murmur3-style
+// finalizer; bare FNV clusters badly on sequential keys ("key-1", "key-2",
+// ...), which is exactly what cache keys look like. Ring placement is a
+// persistent contract (TestGoldenRingPlacement): changing this remaps every
+// cached key of a running tier.
+//
+//genie:hotpath
+func hash64(key string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= prime64
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
 
 // NodeFor returns the index of the node owning key — with replication, the
 // key's preferred replica (ReplicasFor(key)[0]).
@@ -300,12 +249,7 @@ func (r *Ring) ReplicasFor(key string) []int {
 // replicasAppend is ReplicasFor into a caller-owned buffer (hot paths reuse
 // one across a batch).
 func (r *Ring) replicasAppend(key string, out []int) []int {
-	return r.replicasAppendHash(hash64(key), out)
-}
-
-// replicasAppendHash is replicasAppend for callers that already hashed the
-// key (the hot-aware read path hashes once for sampler and routing both).
-func (r *Ring) replicasAppendHash(h uint64, out []int) []int {
+	h := hash64(key)
 	i := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
 	if i == len(r.hashes) {
 		i = 0
@@ -328,10 +272,6 @@ func (r *Ring) replicasAppendHash(h uint64, out []int) []int {
 
 // ReplicaStats implements ReplicaStatsReporter.
 func (r *Ring) ReplicaStats() ReplicaStats { return r.counters.snapshot() }
-
-// HotKeyStats implements HotKeyStatsReporter; all-zero when hot-key
-// spreading is not enabled.
-func (r *Ring) HotKeyStats() HotKeyStats { return r.hot.snapshot() }
 
 // eachReplica runs f once per replica node, concurrently when there is more
 // than one — the same max-node-not-sum-of-node shape as the batch fan-out,
@@ -430,69 +370,12 @@ func (r *Ring) OwnerID(key string) string { return r.ids[r.NodeFor(key)] }
 
 // Get implements kvcache.Cache. With replication it tries the key's
 // replicas in preference order (skipping open breakers) and read-repairs
-// the preferred replica after a failover hit. With hot-key spreading
-// enabled every read feeds the popularity sampler, and reads for flagged
-// keys rotate round-robin over the replica set instead (getSpread).
+// the preferred replica after a failover hit.
 func (r *Ring) Get(key string) ([]byte, bool) {
-	if hr := r.hot; hr != nil {
-		h := hash64(key)
-		if hr.det.Observe(h) && r.replicas > 1 {
-			return r.getSpread(key, h)
-		}
-		if r.replicas == 1 {
-			return r.pick(key).Get(key)
-		}
-		return r.getReplicated(key)
-	}
 	if r.replicas == 1 {
 		return r.pick(key).Get(key)
 	}
 	return r.getReplicated(key)
-}
-
-// getSpread is the detected-hot read path: the replica set is walked from
-// a rotating start position instead of preference order, dividing a hot
-// key's read load by R. Open-breaker replicas are skipped before dialing
-// just like getReplicated; a healthy replica that missed while a later one
-// hit is repaired with an add-if-absent (fresher concurrent writes win),
-// restoring full spread capacity and keeping the staleness window the same
-// one failover read-repair already has — invalidations fan out to the
-// whole replica set either way.
-func (r *Ring) getSpread(key string, h uint64) ([]byte, bool) {
-	hr := r.hot
-	var reps [maxStackReplicas]int
-	set := r.replicasAppendHash(h, reps[:0])
-	n := len(set)
-	start := int(hr.rr.Add(1) % uint64(n))
-	skipped := 0
-	missed := -1 // first healthy replica that missed, repaired on a later hit
-	for i := 0; i < n; i++ {
-		ni := set[(start+i)%n]
-		node := r.nodes[ni]
-		if !nodeHealthy(node) {
-			skipped++
-			continue
-		}
-		v, ok := node.Get(key)
-		if !ok {
-			if missed < 0 {
-				missed = ni
-			}
-			continue
-		}
-		hr.spread.Add(1)
-		if missed >= 0 && r.nodes[missed].Add(key, v, 0) {
-			hr.repairs.Add(1)
-		}
-		if skipped > 0 {
-			r.counters.skipped.Add(int64(skipped))
-		}
-		return v, true
-	}
-	if skipped > 0 {
-		r.counters.skipped.Add(int64(skipped))
-	}
-	return nil, false
 }
 
 // Gets implements kvcache.Cache. A CAS token is only meaningful against the

@@ -359,3 +359,81 @@ func TestReplicatedFailoverKilledNodeRace(t *testing.T) {
 		t.Fatalf("no failover reads recorded: %+v", st)
 	}
 }
+
+// TestGoldenRingPlacement pins where fixed keys land on a fixed 4-node R=2
+// ring. Placement is a persistent contract: a changed key hash or vnode
+// naming scheme silently remaps every cached key of a running tier, so any
+// edit to the ring hash must leave this table unchanged.
+func TestGoldenRingPlacement(t *testing.T) {
+	ids := []string{"127.0.0.1:11311", "127.0.0.1:11312", "127.0.0.1:11313", "127.0.0.1:11314"}
+	nodes := make([]kvcache.Cache, len(ids))
+	for i := range nodes {
+		nodes[i] = kvcache.New(0)
+	}
+	m, err := NewManager(ids, nodes, WithReplicas(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		key      string
+		owner    string
+		replicas []int
+	}{
+		{"user:1", "127.0.0.1:11314", []int{3, 2}},
+		{"user:2", "127.0.0.1:11312", []int{1, 3}},
+		{"user:42:bookmarks", "127.0.0.1:11313", []int{2, 1}},
+		{"bm:7", "127.0.0.1:11311", []int{0, 2}},
+		{"friends:3", "127.0.0.1:11313", []int{2, 0}},
+		{"key-0", "127.0.0.1:11311", []int{0, 2}},
+		{"key-1", "127.0.0.1:11311", []int{0, 1}},
+		{"key-999", "127.0.0.1:11313", []int{2, 1}},
+		{"", "127.0.0.1:11313", []int{2, 0}},
+		{"wall:12:topk", "127.0.0.1:11314", []int{3, 0}},
+	} {
+		if got := m.OwnerID(tc.key); got != tc.owner {
+			t.Errorf("OwnerID(%q) = %s, want %s", tc.key, got, tc.owner)
+		}
+		if got := m.Ring().ReplicasFor(tc.key); fmt.Sprint(got) != fmt.Sprint(tc.replicas) {
+			t.Errorf("ReplicasFor(%q) = %v, want %v", tc.key, got, tc.replicas)
+		}
+	}
+}
+
+// countingNode counts Gets so the tests can see where reads actually land.
+type countingNode struct {
+	kvcache.Cache
+	gets atomic.Int64
+}
+
+func (c *countingNode) Get(key string) ([]byte, bool) {
+	c.gets.Add(1)
+	return c.Cache.Get(key)
+}
+
+// TestColdKeysKeepPreferredRouting: with every replica healthy, reads are
+// preferred-first and a hit never touches the second replica, so
+// CAS-coherence-sensitive traffic sees one copy.
+func TestColdKeysKeepPreferredRouting(t *testing.T) {
+	counted := make([]*countingNode, 4)
+	nodes := make([]kvcache.Cache, len(counted))
+	for i := range nodes {
+		counted[i] = &countingNode{Cache: kvcache.New(0)}
+		nodes[i] = counted[i]
+	}
+	r, err := NewRing(nodes, WithReplicas(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		r.Set(key, []byte("v"), 0)
+		set := r.ReplicasFor(key)
+		before := counted[set[1]].gets.Load()
+		if _, ok := r.Get(key); !ok {
+			t.Fatalf("miss on %s", key)
+		}
+		if got := counted[set[1]].gets.Load() - before; got != 0 {
+			t.Fatalf("key %s read the non-preferred replica %d times", key, got)
+		}
+	}
+}

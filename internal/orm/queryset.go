@@ -235,7 +235,7 @@ func (q *QuerySet) buildSelect(countOnly bool) (string, []sqldb.Value, error) {
 			// Filters qualify to the through table when a join is active and
 			// the field belongs to it; otherwise to the model table.
 			qualifier := q.model.Table
-			if q.join != nil && q.fieldOnThrough(f.Field, throughTable) {
+			if q.join != nil && q.fieldOnThrough(f.Field) {
 				qualifier = throughTable
 			}
 			if f.Op == "in" {
@@ -271,12 +271,11 @@ func (q *QuerySet) buildSelect(countOnly bool) (string, []sqldb.Value, error) {
 }
 
 // fieldOnThrough reports whether field belongs to the join's through model.
-func (q *QuerySet) fieldOnThrough(field, throughTable string) bool {
+func (q *QuerySet) fieldOnThrough(field string) bool {
 	through, err := q.reg.Model(q.join.ThroughModel)
 	if err != nil {
 		return false
 	}
-	_ = throughTable
 	for _, f := range through.Fields {
 		if f.Name == field {
 			return true

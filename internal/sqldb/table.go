@@ -278,14 +278,10 @@ func (t *table) scan(fn func(Row) (bool, error)) error {
 }
 
 // scanIndexEq iterates rows whose leading index columns equal vals, in index
-// order.
+// order. The scan is open-ended and stops at the first key without the
+// prefix: text key bytes can be 0xFF, so no fixed upper bound is safe.
 func (t *table) scanIndexEq(ix *Index, vals []Value, fn func(Row) (bool, error)) error {
 	prefix := t.prefixKey(vals)
-	hi := append(append([]byte(nil), prefix...), 0xFF, 0xFF)
-	// The 0xFF sentinel works because EncodeKey values always start with
-	// 0x00/0x01 tag bytes, so no continuation can exceed it... except text
-	// bytes can be 0xFF. Use prefix-compare in the loop instead for safety.
-	_ = hi
 	for it := ix.tree.Scan(prefix, nil); it.Valid(); it.Next() {
 		k := it.Key()
 		if len(k) < len(prefix) || string(k[:len(prefix)]) != string(prefix) {

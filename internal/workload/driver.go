@@ -29,7 +29,7 @@ type RunConfig struct {
 	// a direct rank-frequency zipf: user rank r is drawn with probability
 	// proportional to r^-s. This is the hot-key engineering knob — s = 1.1
 	// concentrates a large share of all sessions on a handful of celebrity
-	// users, the skew the spreading/L1/single-flight mitigations target —
+	// users, the skew single-flight miss coalescing targets —
 	// whereas ZipfA expresses the paper's sessions-per-user model (§5.1).
 	ZipfS float64
 	// FlashCrowdPct redirects that percentage of in-session page loads to a

@@ -2,12 +2,9 @@ package workload
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
-	"cachegenie/internal/cluster"
 	"cachegenie/internal/obs"
 )
 
@@ -37,42 +34,50 @@ const Exp10Replicas = 2
 
 // Exp10Timeline is one replication factor's pass through the failure drill.
 type Exp10Timeline struct {
-	Replicas int
-	// Healthy: all nodes up. Degraded: one node killed, ring membership
+	Replicas int `json:"replicas"`
+	// "healthy": all nodes up. "degraded": one node killed, ring membership
 	// unchanged — at R=1 its key share degrades to misses, at R=2 reads
-	// fail over to the surviving replica. Recovered: the dead node was
+	// fail over to the surviving replica. "recovered": the dead node was
 	// removed from the ring (handoff drains what it can), revived cold,
 	// and rejoined (handoff warms it from the survivors' copies).
-	Healthy, Degraded, Recovered Exp8Phase
+	Phases Exp8Phases `json:"phases"`
 
-	// Replica routing counters over the whole timeline (zero at R=1).
-	Replica cluster.ReplicaStats
-	// Handoff counters from the remove/rejoin membership changes.
-	Handoff cluster.HandoffStats
+	// Replica routing counters over the whole timeline (zero at R=1; see
+	// cluster.ReplicaStats).
+	FailoverReads    int64 `json:"failover_reads"`
+	ReadRepairs      int64 `json:"read_repairs"`
+	SkippedUnhealthy int64 `json:"skipped_unhealthy"`
+	// Handoff counters from the remove/rejoin membership changes (see
+	// cluster.HandoffStats).
+	HandoffDrained      int64 `json:"handoff_drained"`
+	HandoffCopied       int64 `json:"handoff_copied"`
+	HandoffSkippedNodes int64 `json:"handoff_skipped_nodes"`
 	// Breaker accounting on the killed node's pool.
-	BreakerTrips int64
-	FailFastOps  int64
+	BreakerTrips int64 `json:"breaker_trips"`
+	FailFastOps  int64 `json:"fail_fast_ops"`
 
 	// Staleness scan after the final FlushInvalidations: every key on every
 	// node, checked for replica divergence (two replicas, different bytes)
 	// and orphan copies (a node holding a key outside its replica set).
 	// Both must be zero — divergence would be a stale read waiting to
 	// happen, an orphan a resurfacing hazard on the next membership change.
-	ScannedKeys   int
-	DivergentKeys int
-	OrphanKeys    int
+	ScannedKeys   int `json:"scanned_keys"`
+	DivergentKeys int `json:"divergent_keys"`
+	OrphanKeys    int `json:"orphan_keys"`
 
 	// Metrics is the stack registry's Prometheus text dump captured at the
 	// end of the pass, before teardown — every subsystem's series (store,
 	// server, pool, invalidation bus, cluster) as a scrape would have seen
-	// them. The CI bench smoke uploads the final timeline's dump as an
-	// artifact.
-	Metrics []byte
+	// them. The final timeline's dump is written beside the artifact.
+	Metrics []byte `json:"-"`
 }
 
-// Exp10Result is the full Experiment 10 report.
+// Exp10Result is the full Experiment 10 report, and the BENCH_exp10.json
+// document.
 type Exp10Result struct {
-	Timelines []Exp10Timeline
+	Experiment string          `json:"experiment"`
+	Nodes      int             `json:"nodes"`
+	Timelines  []Exp10Timeline `json:"timelines"`
 }
 
 // Timeline returns the pass for a replication factor, if present.
@@ -85,29 +90,13 @@ func (r Exp10Result) Timeline(replicas int) (Exp10Timeline, bool) {
 	return Exp10Timeline{}, false
 }
 
-// BuildStackForExp10 assembles one Experiment 10 stack: the Experiment 8
-// shape (ModeUpdate, Exp10Nodes loopback cacheproto servers, breaker armed,
-// fast probe) with the ring's replication factor set. Like exp8 it must
-// kill servers, so external CacheAddrs are rejected.
-func BuildStackForExp10(opt ExpOptions, replicas int) (*Stack, error) {
-	if len(opt.CacheAddrs) > 0 {
-		return nil, fmt.Errorf("workload: exp10 kills cache nodes mid-run; it cannot drive external -cache-addrs servers")
-	}
-	return BuildStack(StackConfig{
-		Mode:              ModeUpdate,
-		Seed:              opt.seed(),
-		RngSeed:           42,
-		LatencyScale:      opt.scale(),
-		BufferPoolPages:   expPoolPages,
-		DiskWidth:         2,
-		CacheNodes:        Exp10Nodes,
-		Replicas:          replicas,
-		Transport:         TransportRemote,
-		ProbeInterval:     exp8ProbeInterval,
-		AsyncInvalidation: opt.Async,
-		BatchWindow:       opt.BatchWindow,
-		Obs:               opt.Metrics,
-	})
+// exp10Config is one Experiment 10 stack: the Experiment 8 shape with the
+// ring's replication factor set.
+func exp10Config(opt ExpOptions, replicas int) (StackConfig, error) {
+	cfg, err := opt.loopbackConfig("exp10", Exp10Nodes)
+	cfg.ProbeInterval = exp8ProbeInterval
+	cfg.Replicas = replicas
+	return cfg, err
 }
 
 // Exp10 runs the kill/revive timeline at R=1 and R=2 and the staleness
@@ -115,7 +104,7 @@ func BuildStackForExp10(opt ExpOptions, replicas int) (*Stack, error) {
 // stays within a few points of healthy at R=2 (failover reads + read
 // repair), and both scans come back clean.
 func Exp10(opt ExpOptions) (Exp10Result, error) {
-	var res Exp10Result
+	res := Exp10Result{Experiment: "exp10-replicated-failover", Nodes: Exp10Nodes}
 	for _, replicas := range []int{1, Exp10Replicas} {
 		tl, err := exp10Timeline(opt, replicas)
 		if err != nil {
@@ -126,7 +115,8 @@ func Exp10(opt ExpOptions) (Exp10Result, error) {
 	if r1, ok1 := res.Timeline(1); ok1 {
 		if r2, ok2 := res.Timeline(Exp10Replicas); ok2 {
 			opt.logf("exp10 degraded hit rate through the kill: R=1 %.2f vs R=%d %.2f (healthy %.2f)",
-				r1.Degraded.HitRate, Exp10Replicas, r2.Degraded.HitRate, r2.Healthy.HitRate)
+				r1.Phases.Phase("degraded").HitRate, Exp10Replicas,
+				r2.Phases.Phase("degraded").HitRate, r2.Phases.Phase("healthy").HitRate)
 		}
 	}
 	return res, nil
@@ -141,7 +131,11 @@ func exp10Timeline(opt ExpOptions, replicas int) (Exp10Timeline, error) {
 		reg = obs.NewRegistry()
 		opt.Metrics = reg
 	}
-	st, err := BuildStackForExp10(opt, replicas)
+	cfg, err := exp10Config(opt, replicas)
+	if err != nil {
+		return tl, err
+	}
+	st, err := BuildStack(cfg)
 	if err != nil {
 		return tl, err
 	}
@@ -151,27 +145,15 @@ func exp10Timeline(opt ExpOptions, replicas int) (Exp10Timeline, error) {
 	}
 
 	runCfg := opt.runCfg(15, 40, 2.0)
-	phase := func(name string) (Exp8Phase, error) {
-		before := st.Genie.Stats()
-		rep, err := Run(st, runCfg)
-		if err != nil {
-			return Exp8Phase{}, err
+	phase := func(name string) error {
+		p, err := timelinePhase(opt, st, runCfg, fmt.Sprintf("exp10 R=%d", replicas), name)
+		if err == nil {
+			tl.Phases = append(tl.Phases, p)
 		}
-		after := st.Genie.Stats()
-		p := Exp8Phase{
-			Name: name, Throughput: rep.Throughput,
-			MeanLat: rep.MeanLatency(), Errors: rep.Errors,
-		}
-		if total := (after.Hits - before.Hits) + (after.Misses - before.Misses); total > 0 {
-			p.HitRate = float64(after.Hits-before.Hits) / float64(total)
-		}
-		opt.logf("exp10 R=%d %-9s %9.1f pages/s  hit=%.2f  mean=%v  errors=%d  breakers: %s",
-			replicas, name, p.Throughput, p.HitRate, p.MeanLat.Round(time.Microsecond), p.Errors,
-			st.CacheTierStats().HealthLine())
-		return p, nil
+		return err
 	}
 
-	if tl.Healthy, err = phase("healthy"); err != nil {
+	if err := phase("healthy"); err != nil {
 		return tl, err
 	}
 
@@ -185,7 +167,7 @@ func exp10Timeline(opt ExpOptions, replicas int) (Exp10Timeline, error) {
 	if err := st.KillNode(Exp10KillIndex); err != nil {
 		return tl, err
 	}
-	if tl.Degraded, err = phase("degraded"); err != nil {
+	if err := phase("degraded"); err != nil {
 		return tl, err
 	}
 	ps := deadPool.Stats()
@@ -207,16 +189,18 @@ func exp10Timeline(opt ExpOptions, replicas int) (Exp10Timeline, error) {
 	if err := st.Ring.AddNode(deadID, deadPool); err != nil {
 		return tl, err
 	}
-	tl.Handoff = st.Ring.HandoffStats()
+	hs := st.Ring.HandoffStats()
+	tl.HandoffDrained, tl.HandoffCopied, tl.HandoffSkippedNodes = hs.Drained, hs.Copied, hs.SkippedNodes
 	opt.logf("exp10 R=%d handoff: %d keys drained, %d copied (warmup), %d nodes unreachable",
-		replicas, tl.Handoff.Drained, tl.Handoff.Copied, tl.Handoff.SkippedNodes)
-	if tl.Recovered, err = phase("recovered"); err != nil {
+		replicas, hs.Drained, hs.Copied, hs.SkippedNodes)
+	if err := phase("recovered"); err != nil {
 		return tl, err
 	}
-	tl.Replica = st.Ring.ReplicaStats()
+	rs := st.Ring.ReplicaStats()
+	tl.FailoverReads, tl.ReadRepairs, tl.SkippedUnhealthy = rs.FailoverReads, rs.ReadRepairs, rs.SkippedUnhealthy
 	if replicas > 1 {
 		opt.logf("exp10 R=%d replica routing: %d failover reads, %d read repairs, %d unhealthy skips",
-			replicas, tl.Replica.FailoverReads, tl.Replica.ReadRepairs, tl.Replica.SkippedUnhealthy)
+			replicas, rs.FailoverReads, rs.ReadRepairs, rs.SkippedUnhealthy)
 	}
 
 	// Staleness scan: drain trigger maintenance, then audit every copy.
@@ -278,67 +262,4 @@ func exp10Scan(st *Stack) (scanned, divergent, orphaned int) {
 		scanned++
 	}
 	return scanned, divergent, orphaned
-}
-
-// ---------- BENCH_exp10.json ----------
-
-// Exp10JSONTimeline serializes one replication factor's pass.
-type Exp10JSONTimeline struct {
-	Replicas      int             `json:"replicas"`
-	Phases        []Exp8JSONPhase `json:"phases"`
-	FailoverReads int64           `json:"failover_reads"`
-	ReadRepairs   int64           `json:"read_repairs"`
-	SkippedOpen   int64           `json:"skipped_unhealthy"`
-	HandoffDrain  int64           `json:"handoff_drained"`
-	HandoffCopied int64           `json:"handoff_copied"`
-	HandoffSkip   int64           `json:"handoff_skipped_nodes"`
-	BreakerTrips  int64           `json:"breaker_trips"`
-	FailFastOps   int64           `json:"fail_fast_ops"`
-	ScannedKeys   int             `json:"scanned_keys"`
-	DivergentKeys int             `json:"divergent_keys"`
-	OrphanKeys    int             `json:"orphan_keys"`
-}
-
-// Exp10JSON is the BENCH_exp10.json document.
-type Exp10JSON struct {
-	Experiment string              `json:"experiment"`
-	Nodes      int                 `json:"nodes"`
-	Timelines  []Exp10JSONTimeline `json:"timelines"`
-}
-
-// WriteExp10JSON records an Experiment 10 run as JSON at path (the CI bench
-// smoke uploads BENCH_*.json files as workflow artifacts).
-func WriteExp10JSON(path string, r Exp10Result) error {
-	doc := Exp10JSON{Experiment: "exp10-replicated-failover", Nodes: Exp10Nodes}
-	for _, tl := range r.Timelines {
-		jt := Exp10JSONTimeline{
-			Replicas:      tl.Replicas,
-			FailoverReads: tl.Replica.FailoverReads,
-			ReadRepairs:   tl.Replica.ReadRepairs,
-			SkippedOpen:   tl.Replica.SkippedUnhealthy,
-			HandoffDrain:  tl.Handoff.Drained,
-			HandoffCopied: tl.Handoff.Copied,
-			HandoffSkip:   tl.Handoff.SkippedNodes,
-			BreakerTrips:  tl.BreakerTrips,
-			FailFastOps:   tl.FailFastOps,
-			ScannedKeys:   tl.ScannedKeys,
-			DivergentKeys: tl.DivergentKeys,
-			OrphanKeys:    tl.OrphanKeys,
-		}
-		for _, p := range []Exp8Phase{tl.Healthy, tl.Degraded, tl.Recovered} {
-			jt.Phases = append(jt.Phases, Exp8JSONPhase{
-				Name:                  p.Name,
-				ThroughputPagesPerSec: p.Throughput,
-				HitRate:               p.HitRate,
-				MeanLatMs:             ms(p.MeanLat),
-				Errors:                p.Errors,
-			})
-		}
-		doc.Timelines = append(doc.Timelines, jt)
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return fmt.Errorf("workload: marshal %s: %w", path, err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

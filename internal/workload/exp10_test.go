@@ -1,17 +1,16 @@
 package workload
 
-import (
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestReplicatedStackFansOutWrites: a Replicas=2 loopback stack stores
 // every cache entry on both of its replicas — checked at the store ends, so
 // the fan-out is proven on the wire path, not just in-process.
 func TestReplicatedStackFansOutWrites(t *testing.T) {
-	st, err := BuildStackForExp10(tinyOpts(), 2)
+	cfg, err := exp10Config(tinyOpts(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := BuildStack(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +66,10 @@ func TestExp10ReplicatedFailoverTimeline(t *testing.T) {
 		t.Fatal("no R=2 timeline")
 	}
 	for _, tl := range res.Timelines {
-		for _, p := range []Exp8Phase{tl.Healthy, tl.Degraded, tl.Recovered} {
+		if len(tl.Phases) != 3 {
+			t.Fatalf("R=%d phases = %+v, want healthy/degraded/recovered", tl.Replicas, tl.Phases)
+		}
+		for _, p := range tl.Phases {
 			if p.Throughput <= 0 {
 				t.Fatalf("R=%d phase %s has no throughput: %+v", tl.Replicas, p.Name, p)
 			}
@@ -80,17 +82,17 @@ func TestExp10ReplicatedFailoverTimeline(t *testing.T) {
 			t.Fatalf("R=%d staleness scan saw no keys", tl.Replicas)
 		}
 	}
-	if r2.Degraded.HitRate < 0.90 {
-		t.Fatalf("R=2 degraded hit rate = %.3f, want >= 0.90", r2.Degraded.HitRate)
+	hit1, hit2 := r1.Phases.Phase("degraded").HitRate, r2.Phases.Phase("degraded").HitRate
+	if hit2 < 0.90 {
+		t.Fatalf("R=2 degraded hit rate = %.3f, want >= 0.90", hit2)
 	}
-	if r2.Degraded.HitRate <= r1.Degraded.HitRate {
-		t.Fatalf("R=2 degraded hit %.3f not above R=1's %.3f",
-			r2.Degraded.HitRate, r1.Degraded.HitRate)
+	if hit2 <= hit1 {
+		t.Fatalf("R=2 degraded hit %.3f not above R=1's %.3f", hit2, hit1)
 	}
-	if r2.Replica.FailoverReads == 0 {
+	if r2.FailoverReads == 0 {
 		t.Fatal("R=2 timeline recorded no failover reads")
 	}
-	if r2.Handoff.Copied == 0 {
+	if r2.HandoffCopied == 0 {
 		t.Fatal("rejoin handoff copied nothing — the revived node started cold")
 	}
 }
@@ -98,40 +100,7 @@ func TestExp10ReplicatedFailoverTimeline(t *testing.T) {
 func TestExp10RejectsExternalAddrs(t *testing.T) {
 	opt := tinyOpts()
 	opt.CacheAddrs = []string{"127.0.0.1:1"}
-	if _, err := BuildStackForExp10(opt, 2); err == nil {
+	if _, err := Exp10(opt); err == nil {
 		t.Fatal("exp10 accepted external cache addrs it cannot kill")
-	}
-}
-
-func TestWriteExp10JSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_exp10.json")
-	res := Exp10Result{Timelines: []Exp10Timeline{
-		{
-			Replicas: 1,
-			Healthy:  Exp8Phase{Name: "healthy", Throughput: 100, HitRate: 0.94},
-			Degraded: Exp8Phase{Name: "degraded", Throughput: 70, HitRate: 0.80},
-		},
-		{
-			Replicas:    2,
-			Healthy:     Exp8Phase{Name: "healthy", Throughput: 98, HitRate: 0.94},
-			Degraded:    Exp8Phase{Name: "degraded", Throughput: 90, HitRate: 0.93},
-			ScannedKeys: 1234,
-		},
-	}}
-	res.Timelines[1].Replica.FailoverReads = 42
-	if err := WriteExp10JSON(path, res); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		`"exp10-replicated-failover"`, `"replicas": 1`, `"replicas": 2`,
-		`"failover_reads": 42`, `"scanned_keys": 1234`, `"divergent_keys": 0`,
-	} {
-		if !strings.Contains(string(data), want) {
-			t.Fatalf("artifact missing %s:\n%s", want, data)
-		}
 	}
 }

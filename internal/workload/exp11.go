@@ -2,10 +2,8 @@ package workload
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -278,10 +276,10 @@ type Exp11Point struct {
 	P999us              float64   `json:"p999_us"`
 }
 
-// Exp11PointFromMerged flattens a coordinator's merged run into the
+// exp11PointFromMerged flattens a coordinator's merged run into the
 // artifact row. Both the in-process harness and genieload's coordinator
 // mode go through this, so BENCH_exp11.json has one shape everywhere.
-func Exp11PointFromMerged(m *loadctl.Merged) Exp11Point {
+func exp11PointFromMerged(m *loadctl.Merged) Exp11Point {
 	us := func(ns int64) float64 { return float64(ns) / 1e3 }
 	p := Exp11Point{
 		Workers:             m.Spec.Workers,
@@ -303,11 +301,11 @@ func Exp11PointFromMerged(m *loadctl.Merged) Exp11Point {
 	return p
 }
 
-// Exp11RegisterMerged loads a merged run into a metrics registry: the
+// exp11RegisterMerged loads a merged run into a metrics registry: the
 // aggregate latency distribution plus run counters, labelled by worker
 // count, so the coordinator's .prom dump carries the same quantiles as
 // the JSON artifact.
-func Exp11RegisterMerged(reg *obs.Registry, m *loadctl.Merged) {
+func exp11RegisterMerged(reg *obs.Registry, m *loadctl.Merged) {
 	labels := fmt.Sprintf(`workers="%d"`, m.Spec.Workers)
 	h := reg.Histogram("cachegenie_coordinated_op_latency_seconds", labels,
 		"Merged per-op latency across all workers of one coordinated run.", obs.UnitNanoseconds)
@@ -320,14 +318,42 @@ func Exp11RegisterMerged(reg *obs.Registry, m *loadctl.Merged) {
 		"Worker processes contributing to the merged run.").Set(int64(m.Spec.Workers))
 }
 
-// Exp11Result is the saturation sweep artifact.
+// Exp11Result is the saturation sweep, and the BENCH_exp11.json document
+// consumed by CI's distributed-smoke assertions (jq checks worker_count and
+// that agg_ops_per_sec exceeds best_worker_ops_per_sec).
 type Exp11Result struct {
-	Nodes    int          `json:"nodes"`
-	Replicas int          `json:"replicas"`
-	Points   []Exp11Point `json:"points"`
+	Experiment  string       `json:"experiment"`
+	Description string       `json:"description"`
+	Nodes       int          `json:"nodes"`
+	Replicas    int          `json:"replicas"`
+	Points      []Exp11Point `json:"points"`
 	// Metrics is the coordinator registry's Prometheus dump (written
 	// alongside the JSON artifact, not embedded in it).
 	Metrics []byte `json:"-"`
+}
+
+func newExp11Result(nodes, replicas int) Exp11Result {
+	return Exp11Result{
+		Experiment: "exp11",
+		Description: "Coordinated distributed load: N genieload workers drive one cache tier in " +
+			"lockstep; per-worker latency histograms are merged exact-bucket into aggregate quantiles.",
+		Nodes:    nodes,
+		Replicas: replicas,
+	}
+}
+
+// Exp11FromMerged is the artifact of one coordinated run across real
+// processes (genieload -coordinator) against a tier of nodes at the given
+// replication factor: its single point plus the metrics dump.
+func Exp11FromMerged(m *loadctl.Merged, nodes, replicas int) (Exp11Result, error) {
+	res := newExp11Result(nodes, replicas)
+	res.Points = []Exp11Point{exp11PointFromMerged(m)}
+	reg := obs.NewRegistry()
+	exp11RegisterMerged(reg, m)
+	var buf bytes.Buffer
+	err := reg.WritePrometheus(&buf)
+	res.Metrics = buf.Bytes()
+	return res, err
 }
 
 // Exp11WorkerCounts is the sweep's worker axis.
@@ -394,14 +420,14 @@ func Exp11(opt ExpOptions) (Exp11Result, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	res := Exp11Result{Nodes: Exp11Nodes, Replicas: 2}
+	res := newExp11Result(Exp11Nodes, 2)
 	for _, w := range Exp11WorkerCounts(opt.Quick) {
 		m, err := exp11RunOnce(opt, w, clients)
 		if err != nil {
 			return res, fmt.Errorf("workload: exp11 workers=%d: %w", w, err)
 		}
-		Exp11RegisterMerged(reg, m)
-		p := Exp11PointFromMerged(m)
+		exp11RegisterMerged(reg, m)
+		p := exp11PointFromMerged(m)
 		res.Points = append(res.Points, p)
 		opt.logf("exp11 workers=%d clients=%d  %9.0f ops/s agg (best single %.0f)  p50=%.0fµs p99=%.0fµs hit=%.3f",
 			w, clients, p.AggOpsPerSec, p.BestWorkerOpsPerSec, p.P50us, p.P99us, p.HitRate)
@@ -454,29 +480,4 @@ func exp11RunOnce(opt ExpOptions, workers, clients int) (*loadctl.Merged, error)
 		return nil, err
 	}
 	return m, nil
-}
-
-// WriteExp11JSON renders the sweep to the benchmark artifact consumed by
-// CI's distributed-smoke assertions (jq checks worker_count and that
-// agg_ops_per_sec exceeds best_worker_ops_per_sec).
-func WriteExp11JSON(path string, res Exp11Result) error {
-	out := struct {
-		Experiment  string       `json:"experiment"`
-		Description string       `json:"description"`
-		Nodes       int          `json:"nodes"`
-		Replicas    int          `json:"replicas"`
-		Points      []Exp11Point `json:"points"`
-	}{
-		Experiment: "exp11",
-		Description: "Coordinated distributed load: N genieload workers drive one cache tier in " +
-			"lockstep; per-worker latency histograms are merged exact-bucket into aggregate quantiles.",
-		Nodes:    res.Nodes,
-		Replicas: res.Replicas,
-		Points:   res.Points,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

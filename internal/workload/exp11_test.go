@@ -1,10 +1,7 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -96,7 +93,7 @@ func TestExp11CoordinatedMergeIdentity(t *testing.T) {
 			m.Ops, m.Hits, m.Misses, wantOps, wantHits, wantMisses)
 	}
 
-	p := Exp11PointFromMerged(m)
+	p := exp11PointFromMerged(m)
 	if p.Workers != workers || len(p.PerWorkerOpsPerSec) != workers {
 		t.Errorf("point has workers=%d per_worker=%d, want %d", p.Workers, len(p.PerWorkerOpsPerSec), workers)
 	}
@@ -133,44 +130,6 @@ func TestExp11QuickSweep(t *testing.T) {
 	}
 	if len(res.Metrics) == 0 || !strings.Contains(string(res.Metrics), "cachegenie_coordinated_op_latency_seconds") {
 		t.Error("prometheus dump missing the coordinated latency series")
-	}
-}
-
-func TestWriteExp11JSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_exp11.json")
-	res := Exp11Result{
-		Nodes:    2,
-		Replicas: 2,
-		Points: []Exp11Point{{
-			Workers: 2, ClientsPerWorker: 4, Ops: 1000,
-			AggOpsPerSec: 5000, BestWorkerOpsPerSec: 3000, BestWorkerID: "w1",
-			PerWorkerOpsPerSec: []float64{2000, 3000},
-			HitRate:            0.95, P50us: 40, P99us: 200, P999us: 400,
-		}},
-	}
-	if err := WriteExp11JSON(path, res); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got struct {
-		Experiment string `json:"experiment"`
-		Points     []struct {
-			Workers int     `json:"worker_count"`
-			Agg     float64 `json:"agg_ops_per_sec"`
-			Best    float64 `json:"best_worker_ops_per_sec"`
-		} `json:"points"`
-	}
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if got.Experiment != "exp11" || len(got.Points) != 1 {
-		t.Fatalf("artifact = %+v", got)
-	}
-	if got.Points[0].Workers != 2 || got.Points[0].Agg <= got.Points[0].Best {
-		t.Errorf("artifact point = %+v, want worker_count=2 and agg > best", got.Points[0])
 	}
 }
 

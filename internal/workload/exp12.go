@@ -59,10 +59,22 @@ type Exp12Point struct {
 	ViolationsWithFlush    int     `json:"violations_with_flush"`
 }
 
-// Exp12Result is the experiment's full output.
+// Exp12Result is the experiment's full output, and the BENCH_exp12.json
+// document.
 type Exp12Result struct {
-	Mode   string       `json:"mode"` // "inprocess" or "external"
-	Points []Exp12Point `json:"points"`
+	Experiment  string       `json:"experiment"`
+	Description string       `json:"description"`
+	Mode        string       `json:"mode"` // "inprocess" or "external"
+	Points      []Exp12Point `json:"points"`
+}
+
+func newExp12Result(mode string) Exp12Result {
+	return Exp12Result{
+		Experiment: "exp12",
+		Description: "Crash drill: write-heavy load killed mid-run; recovery must restore exactly " +
+			"the committed prefix and the recovery-epoch bump must flush stranded cache state.",
+		Mode: mode,
+	}
 }
 
 // drillQuerier is the read access both the in-process DB and the dbproto
@@ -283,7 +295,7 @@ func Exp12(opt ExpOptions) (Exp12Result, error) {
 	if opt.Quick {
 		targets = []int{100, 400}
 	}
-	res := Exp12Result{Mode: "inprocess"}
+	res := newExp12Result("inprocess")
 	for _, target := range targets {
 		p, err := exp12Cycle(opt, target)
 		if err != nil {
@@ -296,25 +308,6 @@ func Exp12(opt ExpOptions) (Exp12Result, error) {
 		res.Points = append(res.Points, p)
 	}
 	return res, nil
-}
-
-// WriteExp12JSON writes the BENCH_exp12.json artifact.
-func WriteExp12JSON(path string, res Exp12Result) error {
-	out := struct {
-		Experiment  string `json:"experiment"`
-		Description string `json:"description"`
-		Exp12Result
-	}{
-		Experiment: "exp12",
-		Description: "Crash drill: write-heavy load killed mid-run; recovery must restore exactly " +
-			"the committed prefix and the recovery-epoch bump must flush stranded cache state.",
-		Exp12Result: res,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // Exp12Load is the external drill's load phase: drive a real geniedb over
@@ -403,7 +396,7 @@ func Exp12Load(dbAddr, statePath string, writers int, d time.Duration, logf func
 // Exp12Verify is the external drill's audit phase, run against the
 // restarted geniedb and the live cache tier.
 func Exp12Verify(dbAddr string, cacheAddrs []string, statePath string, logf func(string, ...any)) (Exp12Result, error) {
-	res := Exp12Result{Mode: "external"}
+	res := newExp12Result("external")
 	data, err := os.ReadFile(statePath)
 	if err != nil {
 		return res, fmt.Errorf("exp12 verify: %w", err)

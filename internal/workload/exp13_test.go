@@ -1,92 +1,84 @@
 package workload
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"cachegenie/internal/social"
 )
 
-// TestExp13StackWiresMitigations: the all-on exp13 stack actually arms all
-// three mitigations — the ring spreads, pools carry an L1, the core
-// coalesces — and all-off arms none.
+// TestExp13StackWiresMitigations: the exp13 stacks are the 4-node R=2
+// loopback tier, and only the single-flight configuration arms
+// single-flight.
 func TestExp13StackWiresMitigations(t *testing.T) {
-	on, err := BuildStackForExp13(tinyOpts(), Exp13Mitigations{Spread: true, L1: true, SingleFlight: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(on.Close)
-	if !on.Config.HotKeySpread || on.Config.L1Entries != exp13L1Entries || !on.Config.SingleFlight {
-		t.Fatalf("all-on config did not arm mitigations: %+v", on.Config)
-	}
-	off, err := BuildStackForExp13(tinyOpts(), Exp13Mitigations{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(off.Close)
-	if off.Config.HotKeySpread || off.Config.L1Entries != 0 || off.Config.SingleFlight {
-		t.Fatalf("all-off config armed a mitigation: %+v", off.Config)
+	for _, sf := range []bool{false, true} {
+		cfg, err := exp13Config(tinyOpts(), sf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := BuildStack(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(st.Close)
+		if st.Config.SingleFlight != sf {
+			t.Fatalf("singleflight=%v stack has SingleFlight=%v", sf, st.Config.SingleFlight)
+		}
+		if len(st.Servers) != Exp13Nodes || st.Ring == nil || st.Ring.Replicas() != Exp13Replicas {
+			t.Fatalf("singleflight=%v stack is not the %d-node R=%d loopback tier: %d servers, ring %v",
+				sf, Exp13Nodes, Exp13Replicas, len(st.Servers), st.Ring)
+		}
 	}
 }
 
 func TestExp13RejectsExternalAddrs(t *testing.T) {
 	opt := tinyOpts()
 	opt.CacheAddrs = []string{"127.0.0.1:1"}
-	if _, err := BuildStackForExp13(opt, Exp13Mitigations{}); err == nil {
+	if _, err := Exp13(opt); err == nil {
 		t.Fatal("exp13 accepted external cache addrs whose store counters it cannot read")
 	}
 }
 
 // TestExp13HotKeyTimeline is the acceptance run: under zipf s=1.1 plus a
-// flash crowd, the armed mitigations visibly engage — spread reads happen,
-// the L1 absorbs hits, single-flight shares loads — and the all-on point
-// runs no more database read loads than all-off.
+// flash crowd, both configurations measure a full tier, single-flight stays
+// silent when off, and the single-flight point runs no more database read
+// loads than all-off.
 func TestExp13HotKeyTimeline(t *testing.T) {
 	if testing.Short() {
-		t.Skip("five full workload runs over TCP")
+		t.Skip("two full workload runs over TCP")
 	}
 	res, err := Exp13(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != len(Exp13Configs()) {
-		t.Fatalf("got %d points, want %d", len(res.Points), len(Exp13Configs()))
+	if len(res.Points) != 2 {
+		t.Fatalf("got %d points, want 2", len(res.Points))
 	}
 	off, ok := res.Point("all-off")
 	if !ok {
 		t.Fatal("no all-off point")
 	}
-	on, ok := res.Point("all-on")
+	on, ok := res.Point("singleflight")
 	if !ok {
-		t.Fatal("no all-on point")
+		t.Fatal("no singleflight point")
 	}
 	for _, p := range res.Points {
-		if p.Throughput <= 0 || p.ReadP999 <= 0 {
+		if p.Throughput <= 0 || p.ReadP999Ms <= 0 {
 			t.Fatalf("%s: empty measurement: %+v", p.Name, p)
 		}
 		if len(p.NodeGets) != Exp13Nodes || p.Imbalance < 1 {
 			t.Fatalf("%s: node gets %v imbalance %.2f", p.Name, p.NodeGets, p.Imbalance)
 		}
 	}
-	// Mitigation machinery engages when armed, stays silent when not.
-	if off.HotKeys.SpreadReads != 0 || off.L1Stats.Hits != 0 || off.FlightShared != 0 {
-		t.Fatalf("all-off point shows mitigation activity: %+v", off)
-	}
-	if on.HotKeys.Flagged == 0 || on.HotKeys.SpreadReads == 0 {
-		t.Fatalf("all-on never spread a hot read: %+v", on.HotKeys)
-	}
-	if on.L1Stats.Hits == 0 {
-		t.Fatalf("all-on L1 absorbed nothing: %+v", on.L1Stats)
+	if off.FlightShared != 0 {
+		t.Fatalf("all-off point shows single-flight activity: %+v", off)
 	}
 	if on.DBReadLoads > off.DBReadLoads {
-		t.Fatalf("all-on ran more db read loads (%d) than all-off (%d)",
+		t.Fatalf("singleflight ran more db read loads (%d) than all-off (%d)",
 			on.DBReadLoads, off.DBReadLoads)
 	}
-	if len(on.Metrics) == 0 || !strings.Contains(string(on.Metrics), "cachegenie_hotkey_observed_total") {
-		t.Fatal("all-on point missing hotkey metrics dump")
+	if len(on.Metrics) == 0 || !strings.Contains(string(on.Metrics), "cachegenie_singleflight_shared_total") {
+		t.Fatal("singleflight point missing its metrics dump")
 	}
 }
 
@@ -98,7 +90,11 @@ func TestExp13FlashCrowdRedirects(t *testing.T) {
 		t.Skip("full workload run")
 	}
 	opt := tinyOpts()
-	st, err := BuildStackForExp13(opt, Exp13Mitigations{})
+	stCfg, err := exp13Config(opt, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := BuildStack(stCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,33 +111,5 @@ func TestExp13FlashCrowdRedirects(t *testing.T) {
 		rep.ByPage[social.PageAcceptFR].Count
 	if other != 0 || lookups == 0 {
 		t.Fatalf("flash crowd at 100%% left %d non-lookup pages (lookups=%d)", other, lookups)
-	}
-}
-
-func TestWriteExp13JSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_exp13.json")
-	res := Exp13Result{Points: []Exp13Point{
-		{Name: "all-off", Throughput: 100, ReadP999: 9 * time.Millisecond,
-			NodeGets: []int64{900, 50, 30, 20}, Imbalance: 3.6, DBReadLoads: 420},
-		{Name: "all-on", Spread: true, L1on: true, SingleFlight: true,
-			Throughput: 140, ReadP999: 3 * time.Millisecond,
-			NodeGets: []int64{300, 250, 230, 220}, Imbalance: 1.2, DBReadLoads: 40,
-			FlightLeads: 40, FlightShared: 380},
-	}}
-	if err := WriteExp13JSON(path, res); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		`"exp13-hot-keys"`, `"zipf_s": 1.1`, `"all-off"`, `"all-on"`,
-		`"imbalance_max_over_mean": 3.6`, `"db_read_loads": 40`,
-		`"singleflight_shared": 380`,
-	} {
-		if !strings.Contains(string(data), want) {
-			t.Fatalf("artifact missing %s:\n%s", want, data)
-		}
 	}
 }

@@ -1,9 +1,6 @@
 package workload
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -12,7 +9,11 @@ import (
 
 func buildExp8TestStack(t *testing.T) *Stack {
 	t.Helper()
-	st, err := BuildStackForExp8(tinyOpts())
+	cfg, err := exp8Config(tinyOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := BuildStack(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,10 @@ func TestExp8NodeFailureTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []Exp8Phase{res.Healthy, res.Degraded, res.Removed, res.Rejoined} {
+	if len(res.Phases) != 4 {
+		t.Fatalf("phases = %+v, want healthy/degraded/removed/rejoined", res.Phases)
+	}
+	for _, p := range res.Phases {
 		if p.Throughput <= 0 {
 			t.Fatalf("phase %s has no throughput: %+v", p.Name, p)
 		}
@@ -116,8 +120,8 @@ func TestExp8NodeFailureTimeline(t *testing.T) {
 		t.Fatalf("unreachable during outage = %d, want 1", res.UnreachableNodes)
 	}
 	// The acceptance criterion: fail-fast ops skip the per-op dial penalty.
-	if res.FailFastP99 >= res.DialStormP99 {
-		t.Fatalf("fail-fast p99 %v not below dial-storm p99 %v", res.FailFastP99, res.DialStormP99)
+	if res.FailFastP99Us >= res.DialStormP99Us {
+		t.Fatalf("fail-fast p99 %.1fµs not below dial-storm p99 %.1fµs", res.FailFastP99Us, res.DialStormP99Us)
 	}
 	// ~1/N of keys remap when the dead node leaves.
 	if res.RemapFraction < 0.10 || res.RemapFraction > 0.45 {
@@ -131,37 +135,7 @@ func TestExp8NodeFailureTimeline(t *testing.T) {
 func TestExp8RejectsExternalAddrs(t *testing.T) {
 	opt := tinyOpts()
 	opt.CacheAddrs = []string{"127.0.0.1:1"}
-	if _, err := BuildStackForExp8(opt); err == nil {
+	if _, err := Exp8(opt); err == nil {
 		t.Fatal("exp8 accepted external cache addrs it cannot kill")
-	}
-}
-
-func TestWriteExp8JSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_exp8.json")
-	res := Exp8Result{
-		Healthy:       Exp8Phase{Name: "healthy", Throughput: 100, HitRate: 0.9},
-		Degraded:      Exp8Phase{Name: "degraded", Throughput: 70, HitRate: 0.6},
-		Removed:       Exp8Phase{Name: "removed", Throughput: 90, HitRate: 0.8},
-		Rejoined:      Exp8Phase{Name: "rejoined", Throughput: 99, HitRate: 0.88},
-		FailFastP99:   150 * time.Nanosecond,
-		DialStormP99:  80 * time.Microsecond,
-		RemapFraction: 0.26,
-		RejoinExact:   true,
-		BreakerTrips:  1,
-	}
-	if err := WriteExp8JSON(path, res); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		`"exp8-node-failure"`, `"degraded"`, `"rejoined"`,
-		`"remap_fraction": 0.26`, `"rejoin_exact": true`, `"fail_fast_p99_us": 0.15`,
-	} {
-		if !strings.Contains(string(data), want) {
-			t.Fatalf("artifact missing %s:\n%s", want, data)
-		}
 	}
 }

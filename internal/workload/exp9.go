@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -52,25 +50,39 @@ func Exp9Clients(quick bool) []int {
 
 // Exp9Point is one (transport, shards, clients) measurement.
 type Exp9Point struct {
-	Transport   string // "local" (in-process store) or "remote" (TCP + pool)
-	Shards      int
-	Clients     int
-	Ops         int64
-	OpsPerSec   float64
-	P50         time.Duration
-	P99         time.Duration
-	NsPerOp     float64
-	AllocsPerOp float64
+	Transport   string  `json:"transport"` // "local" (in-process store) or "remote" (TCP + pool)
+	Shards      int     `json:"shards"`
+	Clients     int     `json:"clients"`
+	Ops         int64   `json:"-"`
+	OpsPerSec   float64 `json:"ops_per_sec"`
+	P50Us       float64 `json:"p50_us"`
+	P99Us       float64 `json:"p99_us"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// Exp9Result is the full Experiment 9 report.
+// Exp9Speedup is one sharded-vs-baseline throughput ratio.
+type Exp9Speedup struct {
+	Transport string  `json:"transport"`
+	Clients   int     `json:"clients"`
+	Speedup   float64 `json:"sharded_over_1shard"`
+}
+
+// Exp9Result is the full Experiment 9 report, and the BENCH_exp9.json
+// document.
 type Exp9Result struct {
+	Experiment string `json:"experiment"`
 	// GOMAXPROCS and NumCPU qualify the curve: scaling with cores can only
 	// show on a runner that has them, so the artifact records what it ran on.
-	GOMAXPROCS    int
-	NumCPU        int
-	ShardedShards int // stripe count the "sharded" configuration used
-	Points        []Exp9Point
+	GOMAXPROCS    int `json:"gomaxprocs"`
+	NumCPU        int `json:"num_cpu"`
+	ShardedShards int `json:"sharded_shards"` // stripe count the "sharded" configuration used
+	// The op mix every point ran (Exp9WritePct, Exp9ValueBytes, Exp9Keys).
+	WritePct   int           `json:"write_pct"`
+	ValueBytes int           `json:"value_bytes"`
+	Keys       int           `json:"keys"`
+	Points     []Exp9Point   `json:"points"`
+	Speedups   []Exp9Speedup `json:"speedups"`
 }
 
 // Speedup returns sharded/1-shard throughput for a transport and client
@@ -91,6 +103,22 @@ func (r Exp9Result) Speedup(transport string, clients int) float64 {
 		return 0
 	}
 	return sharded / base
+}
+
+// computeSpeedups fills Speedups with one ratio per (transport, clients)
+// pair that has both a baseline and a sharded point, in point order.
+func (r *Exp9Result) computeSpeedups() {
+	seen := map[Exp9Speedup]bool{}
+	for _, p := range r.Points {
+		key := Exp9Speedup{Transport: p.Transport, Clients: p.Clients}
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		if key.Speedup = r.Speedup(p.Transport, p.Clients); key.Speedup > 0 {
+			r.Speedups = append(r.Speedups, key)
+		}
+	}
 }
 
 // exp9Ops sizes the per-point op count: enough for a stable rate, bounded
@@ -185,8 +213,8 @@ func exp9Run(cache kvcache.Cache, clients int, totalOps int64) Exp9Point {
 		AllocsPerOp: float64(ms1.Mallocs-ms0.Mallocs) / float64(ops),
 	}
 	if s := merged.Snapshot(); s.Count > 0 {
-		pt.P50 = time.Duration(s.Quantile(0.50))
-		pt.P99 = time.Duration(s.Quantile(0.99))
+		pt.P50Us = us(time.Duration(s.Quantile(0.50)))
+		pt.P99Us = us(time.Duration(s.Quantile(0.99)))
 	}
 	return pt
 }
@@ -195,6 +223,10 @@ func exp9Run(cache kvcache.Cache, clients int, totalOps int64) Exp9Point {
 // concurrency x {local, remote} transports.
 func Exp9(opt ExpOptions) (Exp9Result, error) {
 	res := Exp9Result{
+		Experiment:    "exp9-core-scaling",
+		WritePct:      Exp9WritePct,
+		ValueBytes:    Exp9ValueBytes,
+		Keys:          Exp9Keys,
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		NumCPU:        runtime.NumCPU(),
 		ShardedShards: kvcache.DefaultShards(),
@@ -228,12 +260,13 @@ func Exp9(opt ExpOptions) (Exp9Result, error) {
 					cleanup()
 				}
 				res.Points = append(res.Points, pt)
-				opt.logf("exp9  %-6s shards=%-3d clients=%-3d %12.0f ops/s  p50=%-8v p99=%-8v %.1f ns/op  %.3f allocs/op",
+				opt.logf("exp9  %-6s shards=%-3d clients=%-3d %12.0f ops/s  p50=%-8.3fµs p99=%-8.3fµs %.1f ns/op  %.3f allocs/op",
 					pt.Transport, pt.Shards, pt.Clients, pt.OpsPerSec,
-					pt.P50, pt.P99, pt.NsPerOp, pt.AllocsPerOp)
+					pt.P50Us, pt.P99Us, pt.NsPerOp, pt.AllocsPerOp)
 			}
 		}
 	}
+	res.computeSpeedups()
 	for _, transport := range []string{"local", "remote"} {
 		maxC := Exp9Clients(opt.Quick)
 		c := maxC[len(maxC)-1]
@@ -241,80 +274,4 @@ func Exp9(opt ExpOptions) (Exp9Result, error) {
 			transport, c, res.Speedup(transport, c), res.GOMAXPROCS)
 	}
 	return res, nil
-}
-
-// ---------- BENCH_exp9.json ----------
-
-// Exp9JSONPoint serializes one point; durations flatten to microseconds so
-// the artifact diffs meaningfully across CI runs.
-type Exp9JSONPoint struct {
-	Transport   string  `json:"transport"`
-	Shards      int     `json:"shards"`
-	Clients     int     `json:"clients"`
-	OpsPerSec   float64 `json:"ops_per_sec"`
-	P50Us       float64 `json:"p50_us"`
-	P99Us       float64 `json:"p99_us"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-}
-
-// Exp9JSONSpeedup is one sharded-vs-baseline ratio.
-type Exp9JSONSpeedup struct {
-	Transport string  `json:"transport"`
-	Clients   int     `json:"clients"`
-	Speedup   float64 `json:"sharded_over_1shard"`
-}
-
-// Exp9JSON is the BENCH_exp9.json document.
-type Exp9JSON struct {
-	Experiment    string            `json:"experiment"`
-	GOMAXPROCS    int               `json:"gomaxprocs"`
-	NumCPU        int               `json:"num_cpu"`
-	ShardedShards int               `json:"sharded_shards"`
-	WritePct      int               `json:"write_pct"`
-	ValueBytes    int               `json:"value_bytes"`
-	Keys          int               `json:"keys"`
-	Points        []Exp9JSONPoint   `json:"points"`
-	Speedups      []Exp9JSONSpeedup `json:"speedups"`
-}
-
-// WriteExp9JSON records an Experiment 9 sweep as JSON at path (the CI bench
-// smoke uploads BENCH_*.json files as workflow artifacts).
-func WriteExp9JSON(path string, r Exp9Result) error {
-	doc := Exp9JSON{
-		Experiment:    "exp9-core-scaling",
-		GOMAXPROCS:    r.GOMAXPROCS,
-		NumCPU:        r.NumCPU,
-		ShardedShards: r.ShardedShards,
-		WritePct:      Exp9WritePct,
-		ValueBytes:    Exp9ValueBytes,
-		Keys:          Exp9Keys,
-	}
-	seen := map[[2]interface{}]bool{}
-	for _, p := range r.Points {
-		doc.Points = append(doc.Points, Exp9JSONPoint{
-			Transport:   p.Transport,
-			Shards:      p.Shards,
-			Clients:     p.Clients,
-			OpsPerSec:   p.OpsPerSec,
-			P50Us:       us(p.P50),
-			P99Us:       us(p.P99),
-			NsPerOp:     p.NsPerOp,
-			AllocsPerOp: p.AllocsPerOp,
-		})
-		key := [2]interface{}{p.Transport, p.Clients}
-		if !seen[key] {
-			seen[key] = true
-			if sp := r.Speedup(p.Transport, p.Clients); sp > 0 {
-				doc.Speedups = append(doc.Speedups, Exp9JSONSpeedup{
-					Transport: p.Transport, Clients: p.Clients, Speedup: sp,
-				})
-			}
-		}
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return fmt.Errorf("workload: marshal %s: %w", path, err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

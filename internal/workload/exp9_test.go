@@ -1,12 +1,8 @@
 package workload
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
-	"time"
 
 	"cachegenie/internal/kvcache"
 )
@@ -23,8 +19,8 @@ func TestExp9RunPoint(t *testing.T) {
 	if pt.OpsPerSec <= 0 || pt.NsPerOp <= 0 {
 		t.Fatalf("rates not measured: %+v", pt)
 	}
-	if pt.P50 <= 0 || pt.P99 < pt.P50 {
-		t.Fatalf("percentiles inconsistent: p50=%v p99=%v", pt.P50, pt.P99)
+	if pt.P50Us <= 0 || pt.P99Us < pt.P50Us {
+		t.Fatalf("percentiles inconsistent: p50=%vµs p99=%vµs", pt.P50Us, pt.P99Us)
 	}
 	if pt.AllocsPerOp > 3 {
 		t.Fatalf("allocs/op = %.2f, want ~1 (the Get copy)", pt.AllocsPerOp)
@@ -66,41 +62,6 @@ func TestExp9SweepShape(t *testing.T) {
 		if sp := res.Speedup(transport, 16); sp <= 0 {
 			t.Fatalf("speedup(%s, 16) = %v", transport, sp)
 		}
-	}
-}
-
-// TestWriteExp9JSON checks the artifact document round-trips with the
-// fields CI consumers key on.
-func TestWriteExp9JSON(t *testing.T) {
-	res := Exp9Result{
-		GOMAXPROCS: 8, NumCPU: 8, ShardedShards: 32,
-		Points: []Exp9Point{
-			{Transport: "local", Shards: 1, Clients: 16, Ops: 1000, OpsPerSec: 1e6,
-				P50: time.Microsecond, P99: 5 * time.Microsecond, NsPerOp: 1000, AllocsPerOp: 0.9},
-			{Transport: "local", Shards: 32, Clients: 16, Ops: 1000, OpsPerSec: 2.5e6,
-				P50: time.Microsecond, P99: 2 * time.Microsecond, NsPerOp: 400, AllocsPerOp: 0.9},
-		},
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_exp9.json")
-	if err := WriteExp9JSON(path, res); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc Exp9JSON
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Experiment != "exp9-core-scaling" || doc.GOMAXPROCS != 8 {
-		t.Fatalf("doc header: %+v", doc)
-	}
-	if len(doc.Points) != 2 {
-		t.Fatalf("points = %d", len(doc.Points))
-	}
-	if len(doc.Speedups) != 1 || doc.Speedups[0].Speedup != 2.5 {
-		t.Fatalf("speedups = %+v", doc.Speedups)
 	}
 }
 

@@ -56,12 +56,6 @@ type ExpOptions struct {
 	// (RunConfig.FlashCrowdPct). Experiment 13 sweeps these itself.
 	ZipfS         float64
 	FlashCrowdPct int
-	// HotKeySpread / L1Entries / SingleFlight arm the hot-key mitigations
-	// on every stack the harness builds (StackConfig fields of the same
-	// names). Experiment 13 toggles them itself and ignores these.
-	HotKeySpread bool
-	L1Entries    int
-	SingleFlight bool
 }
 
 func (o ExpOptions) scale() int {
@@ -104,29 +98,50 @@ func (o ExpOptions) sessions() int {
 // fit, keeping the cached configurations disk-bound on writes (paper §5.4).
 const expPoolPages = 128
 
-func (o ExpOptions) buildStack(mode Mode, cacheBytes int64, poolPages int) (*Stack, error) {
-	if poolPages == 0 {
-		poolPages = expPoolPages
-	}
-	return BuildStack(StackConfig{
+// StackConfig is the base system every experiment builds for mode: the
+// paper stack over a disk-bound database, carrying opt's dataset, latency
+// scale, cache-tier, invalidation and metrics settings. Experiments
+// override only the fields they sweep.
+func (o ExpOptions) StackConfig(mode Mode) StackConfig {
+	return StackConfig{
 		Mode:              mode,
 		Seed:              o.seed(),
 		RngSeed:           42,
 		LatencyScale:      o.scale(),
-		CacheBytes:        cacheBytes,
 		CacheShards:       o.Shards,
 		Replicas:          o.Replicas,
-		BufferPoolPages:   poolPages,
+		BufferPoolPages:   expPoolPages,
 		DiskWidth:         2,
 		AsyncInvalidation: o.Async,
 		BatchWindow:       o.BatchWindow,
 		Transport:         o.Transport,
 		CacheAddrs:        o.CacheAddrs,
-		HotKeySpread:      o.HotKeySpread,
-		L1Entries:         o.L1Entries,
-		SingleFlight:      o.SingleFlight,
 		Obs:               o.Metrics,
-	})
+	}
+}
+
+// loopbackConfig is the base stack on nodes self-launched loopback
+// cacheproto servers. Experiments that kill nodes or read per-node store
+// counters build on it; they cannot drive an external -cache-addrs tier.
+func (o ExpOptions) loopbackConfig(exp string, nodes int) (StackConfig, error) {
+	if len(o.CacheAddrs) > 0 {
+		return StackConfig{}, fmt.Errorf("workload: %s needs self-launched loopback cache nodes; it cannot drive external -cache-addrs servers", exp)
+	}
+	cfg := o.StackConfig(ModeUpdate)
+	cfg.CacheNodes = nodes
+	cfg.Transport = TransportRemote
+	return cfg, nil
+}
+
+// runStack builds cfg, runs one workload configuration on it, and tears it
+// down.
+func runStack(cfg StackConfig, rc RunConfig) (Report, error) {
+	st, err := BuildStack(cfg)
+	if err != nil {
+		return Report{}, err
+	}
+	defer st.Close()
+	return Run(st, rc)
 }
 
 func (o ExpOptions) runCfg(clients, writePct int, zipfA float64) RunConfig {
@@ -289,6 +304,35 @@ func MicroTrigger(opt ExpOptions) (MicroTriggerResult, error) {
 	return res, nil
 }
 
+// MicroResult is the §5.3 microbenchmark pair.
+type MicroResult struct {
+	Lookup  MicroLookupResult
+	Trigger MicroTriggerResult
+}
+
+// Micro runs both §5.3 microbenchmarks and prints them next to the
+// paper's values.
+func Micro(opt ExpOptions) (MicroResult, error) {
+	var res MicroResult
+	var err error
+	if res.Lookup, err = MicroLookup(opt); err != nil {
+		return res, err
+	}
+	ml := res.Lookup
+	opt.logf("db B+tree lookup: %v   cache lookup: %v   ratio: %.1fx (paper: 10-25x)",
+		ml.DBLookup.Round(time.Microsecond), ml.CacheLookup.Round(time.Microsecond), ml.Ratio)
+	if res.Trigger, err = MicroTrigger(opt); err != nil {
+		return res, err
+	}
+	mt := res.Trigger
+	opt.logf("plain INSERT: %v   no-op trigger: %v (+%.0f%%)   trigger+connect: %v (+%.0f%%)   per cache op: %v",
+		mt.PlainInsert.Round(time.Microsecond), mt.NoopTrigger.Round(time.Microsecond), mt.NoopOverheadPct,
+		mt.ConnectTrigger.Round(time.Microsecond), mt.TotalOverheadPct,
+		mt.PerCacheOp.Round(time.Microsecond))
+	opt.logf("(paper: 6.3ms plain, 6.5ms no-op, 11.9ms with connect, 0.2ms per op; overheads 3%%-400%%)")
+	return res, nil
+}
+
 // ---------- Experiment 1 (Fig 2a/2b, Table 2) ----------
 
 // Exp1Point is one (mode, clients) measurement.
@@ -317,12 +361,7 @@ func Exp1(opt ExpOptions, clients []int) ([]Exp1Point, error) {
 	var out []Exp1Point
 	for _, mode := range []Mode{ModeNoCache, ModeInvalidate, ModeUpdate} {
 		for _, c := range clients {
-			st, err := opt.buildStack(mode, 0, 0)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := Run(st, opt.runCfg(c, 20, 2.0))
-			st.Close()
+			rep, err := runStack(opt.StackConfig(mode), opt.runCfg(c, 20, 2.0))
 			if err != nil {
 				return nil, err
 			}
@@ -359,12 +398,7 @@ type Exp1PageRow struct {
 func Exp1PageTable(opt ExpOptions) ([]Exp1PageRow, error) {
 	byMode := map[Mode]map[social.PageType]PageStats{}
 	for _, mode := range []Mode{ModeUpdate, ModeInvalidate, ModeNoCache} {
-		st, err := opt.buildStack(mode, 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		rep, err := Run(st, opt.runCfg(15, 20, 2.0))
-		st.Close()
+		rep, err := runStack(opt.StackConfig(mode), opt.runCfg(15, 20, 2.0))
 		if err != nil {
 			return nil, err
 		}
@@ -410,12 +444,7 @@ func Exp2(opt ExpOptions, readPcts []int) ([]Exp2Point, error) {
 	var out []Exp2Point
 	for _, mode := range []Mode{ModeNoCache, ModeInvalidate, ModeUpdate} {
 		for _, rp := range readPcts {
-			st, err := opt.buildStack(mode, 0, 0)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := Run(st, opt.runCfg(15, 100-rp, 2.0))
-			st.Close()
+			rep, err := runStack(opt.StackConfig(mode), opt.runCfg(15, 100-rp, 2.0))
 			if err != nil {
 				return nil, err
 			}
@@ -451,12 +480,7 @@ func Exp3(opt ExpOptions, zipfAs []float64) ([]Exp3Point, error) {
 	var out []Exp3Point
 	for _, mode := range []Mode{ModeNoCache, ModeInvalidate, ModeUpdate} {
 		for _, a := range zipfAs {
-			st, err := opt.buildStack(mode, 0, 0)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := Run(st, opt.runCfg(15, 20, a))
-			st.Close()
+			rep, err := runStack(opt.StackConfig(mode), opt.runCfg(15, 20, a))
 			if err != nil {
 				return nil, err
 			}
@@ -496,7 +520,9 @@ func Exp4(opt ExpOptions, sizes []int64) ([]Exp4Point, error) {
 	var out []Exp4Point
 	for _, mode := range []Mode{ModeInvalidate, ModeUpdate} {
 		for _, size := range sizes {
-			st, err := opt.buildStack(mode, size, 0)
+			cfg := opt.StackConfig(mode)
+			cfg.CacheBytes = size
+			st, err := BuildStack(cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -539,12 +565,9 @@ type Exp4ColocatedResult struct {
 func Exp4Colocated(opt ExpOptions) ([]Exp4ColocatedResult, error) {
 	var out []Exp4ColocatedResult
 	for _, mode := range []Mode{ModeInvalidate, ModeUpdate} {
-		sep, err := opt.buildStack(mode, 256<<10, expPoolPages)
-		if err != nil {
-			return nil, err
-		}
-		repSep, err := Run(sep, opt.runCfg(15, 20, 2.0))
-		sep.Close()
+		cfg := opt.StackConfig(mode)
+		cfg.CacheBytes = 256 << 10
+		repSep, err := runStack(cfg, opt.runCfg(15, 20, 2.0))
 		if err != nil {
 			return nil, err
 		}
@@ -552,12 +575,8 @@ func Exp4Colocated(opt ExpOptions) ([]Exp4ColocatedResult, error) {
 		// shrink must leave the pool well below the hot set to be visible
 		// at this dataset scale (the paper gives most of the box's memory
 		// to memcached).
-		colo, err := opt.buildStack(mode, 256<<10, expPoolPages/16)
-		if err != nil {
-			return nil, err
-		}
-		repColo, err := Run(colo, opt.runCfg(15, 20, 2.0))
-		colo.Close()
+		cfg.BufferPoolPages = expPoolPages / 16
+		repColo, err := runStack(cfg, opt.runCfg(15, 20, 2.0))
 		if err != nil {
 			return nil, err
 		}
@@ -585,19 +604,14 @@ type Exp5Result struct {
 func Exp5(opt ExpOptions) ([]Exp5Result, error) {
 	var out []Exp5Result
 	for _, mode := range []Mode{ModeInvalidate, ModeUpdate} {
-		withSt, err := opt.buildStack(mode, 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		repWith, err := Run(withSt, opt.runCfg(15, 20, 2.0))
-		withSt.Close()
+		repWith, err := runStack(opt.StackConfig(mode), opt.runCfg(15, 20, 2.0))
 		if err != nil {
 			return nil, err
 		}
 		// The ideal system: same stack, triggers disabled. Cached reads may
 		// return stale data, but as in the paper this still estimates the
 		// upper-bound performance of free cache maintenance.
-		idealSt, err := opt.buildStack(mode, 0, 0)
+		idealSt, err := BuildStack(opt.StackConfig(mode))
 		if err != nil {
 			return nil, err
 		}
@@ -640,7 +654,9 @@ func Exp6(opt ExpOptions) ([]Exp6Point, error) {
 	var out []Exp6Point
 	for _, mode := range []Mode{ModeInvalidate, ModeUpdate} {
 		for _, async := range []bool{false, true} {
-			st, err := BuildStackForExp6(opt, mode, async)
+			cfg := opt.StackConfig(mode)
+			cfg.AsyncInvalidation = async
+			st, err := BuildStack(cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -681,70 +697,67 @@ const Exp7Nodes = 4
 // cacheproto servers on loopback TCP behind pooled clients — the first
 // measurement in this reproduction where the §5.3 trigger-propagation win
 // is taken over an actual network round trip rather than an injected one.
+// Write latencies are the CreateBM page's; the bus counters are zero for
+// sync points.
 type Exp7Point struct {
-	Transport    CacheTransport
-	Async        bool
-	Throughput   float64
-	MeanWriteLat time.Duration // mean CreateBM page latency
-	P99WriteLat  time.Duration
-	Bus          invbus.Stats // zero-valued for sync points
+	Transport          CacheTransport `json:"transport"`
+	Async              bool           `json:"async"`
+	Throughput         float64        `json:"throughput_pages_per_sec"`
+	WriteMeanMs        float64        `json:"write_mean_ms"`
+	WriteP99Ms         float64        `json:"write_p99_ms"`
+	BusEnqueued        int64          `json:"-"`
+	BusFlushes         int64          `json:"bus_flushes"`
+	BusApplied         int64          `json:"bus_applied"`
+	BusCoalesced       int64          `json:"bus_coalesced"`
+	BusQueueFullStalls int64          `json:"bus_queue_full_stalls"`
+	BusStallMs         float64        `json:"bus_stall_ms"`
 }
 
-// BuildStackForExp7 assembles one Experiment 7 stack: ModeUpdate over an
-// Exp7Nodes-node ring reached through the given transport.
-func BuildStackForExp7(opt ExpOptions, mode Mode, transport CacheTransport, async bool) (*Stack, error) {
-	return BuildStack(StackConfig{
-		Mode:              mode,
-		Seed:              opt.seed(),
-		RngSeed:           42,
-		LatencyScale:      opt.scale(),
-		BufferPoolPages:   expPoolPages,
-		DiskWidth:         2,
-		CacheNodes:        Exp7Nodes,
-		Replicas:          opt.Replicas,
-		Transport:         transport,
-		CacheAddrs:        opt.CacheAddrs,
-		AsyncInvalidation: async,
-		BatchWindow:       opt.BatchWindow,
-		Obs:               opt.Metrics,
-	})
+// Exp7Result is the BENCH_exp7.json document.
+type Exp7Result struct {
+	Experiment string      `json:"experiment"`
+	Points     []Exp7Point `json:"points"`
 }
 
 // Exp7 drives the write-heavy workload over the in-process and remote-TCP
-// transports, sync and async-bus each. Expected shape: the remote transport
-// costs throughput across the board (every cache hop is now a real syscall
-// + TCP round trip), and the async bus claws most of it back on the write
-// path — batching is worth more when round trips are real.
-func Exp7(opt ExpOptions) ([]Exp7Point, error) {
-	var out []Exp7Point
+// transports, sync and async-bus each, on an Exp7Nodes-node ring. Expected
+// shape: the remote transport costs throughput across the board (every
+// cache hop is now a real syscall + TCP round trip), and the async bus
+// claws most of it back on the write path — batching is worth more when
+// round trips are real.
+func Exp7(opt ExpOptions) (Exp7Result, error) {
+	res := Exp7Result{Experiment: "exp7-remote-cluster"}
 	for _, transport := range []CacheTransport{TransportInProcess, TransportRemote} {
 		for _, async := range []bool{false, true} {
-			st, err := BuildStackForExp7(opt, ModeUpdate, transport, async)
+			cfg := opt.StackConfig(ModeUpdate)
+			cfg.CacheNodes = Exp7Nodes
+			cfg.Transport = transport
+			cfg.AsyncInvalidation = async
+			st, err := BuildStack(cfg)
 			if err != nil {
-				return nil, err
+				return res, err
 			}
 			rep, err := Run(st, opt.runCfg(15, 60, 2.0))
 			if err != nil {
 				st.Close()
-				return nil, err
+				return res, err
 			}
+			write := rep.ByPage[social.PageCreateBM]
+			bus := st.Genie.InvStats()
+			st.Close()
 			p := Exp7Point{
 				Transport: transport, Async: async, Throughput: rep.Throughput,
-				MeanWriteLat: rep.ByPage[social.PageCreateBM].Mean,
-				P99WriteLat:  rep.ByPage[social.PageCreateBM].P99,
+				WriteMeanMs: ms(write.Mean), WriteP99Ms: ms(write.P99),
+				BusEnqueued: bus.Enqueued, BusFlushes: bus.Flushes, BusApplied: bus.Applied, BusCoalesced: bus.Coalesced,
+				BusQueueFullStalls: bus.QueueFullStalls, BusStallMs: ms(bus.StallTime),
 			}
-			if st.Genie != nil {
-				p.Bus = st.Genie.InvStats()
-			}
-			st.Close()
-			out = append(out, p)
-			opt.logf("exp7  %-10s async=%-5v %9.1f pages/s  write mean=%v p99=%v  (%d flushes, %d stalls/%v stalled)",
-				p.Transport, async, p.Throughput,
-				p.MeanWriteLat.Round(time.Microsecond), p.P99WriteLat.Round(time.Microsecond),
-				p.Bus.Flushes, p.Bus.QueueFullStalls, p.Bus.StallTime.Round(time.Microsecond))
+			res.Points = append(res.Points, p)
+			opt.logf("exp7  %-10s async=%-5v %9.1f pages/s  write mean=%.3fms p99=%.3fms  (%d flushes, %d stalls/%.3fms stalled)",
+				p.Transport, async, p.Throughput, p.WriteMeanMs, p.WriteP99Ms,
+				p.BusFlushes, p.BusQueueFullStalls, p.BusStallMs)
 		}
 	}
-	return out, nil
+	return res, nil
 }
 
 // ---------- §5.2 programmer effort ----------
@@ -779,6 +792,19 @@ func Effort() (EffortReport, error) {
 	return rep, nil
 }
 
+// printEffort runs Effort and prints it next to the paper's accounting.
+func printEffort(opt ExpOptions) (EffortReport, error) {
+	rep, err := Effort()
+	if err != nil {
+		return rep, err
+	}
+	opt.logf("cached objects declared : %d   (paper: 14)", rep.CachedObjects)
+	opt.logf("app lines changed       : %d cacheable(...) calls (paper: ~20 lines)", rep.AppLinesChanged)
+	opt.logf("triggers generated      : %d   (paper: 48)", rep.Triggers)
+	opt.logf("trigger source lines    : %d   (paper: ~1720)", rep.GeneratedLines)
+	return rep, nil
+}
+
 // ---------- Ablation: template-based invalidation baseline ----------
 
 // AblationTemplateResult contrasts CacheGenie's key-granular invalidation
@@ -795,7 +821,7 @@ type AblationTemplateResult struct {
 func AblationTemplateInvalidation(opt ExpOptions) (AblationTemplateResult, error) {
 	var res AblationTemplateResult
 
-	genieSt, err := opt.buildStack(ModeInvalidate, 0, 0)
+	genieSt, err := BuildStack(opt.StackConfig(ModeInvalidate))
 	if err != nil {
 		return res, err
 	}
@@ -856,38 +882,8 @@ func AblationTemplateInvalidation(opt ExpOptions) (AblationTemplateResult, error
 	return res, nil
 }
 
-// RunMode builds a fresh stack for mode and runs one workload
+// RunMode builds a fresh base stack for mode and runs one workload
 // configuration — the shared primitive behind the benchmark harness.
 func RunMode(opt ExpOptions, mode Mode, clients, writePct int, zipfA float64) (Report, error) {
-	st, err := opt.buildStack(mode, 0, 0)
-	if err != nil {
-		return Report{}, err
-	}
-	defer st.Close()
-	return Run(st, opt.runCfg(clients, writePct, zipfA))
-}
-
-// BuildStackForBench exposes the trigger-connection-reuse and cache-cluster
-// knobs to the benchmark harness.
-func BuildStackForBench(opt ExpOptions, mode Mode, reuseTriggerConns bool, cacheNodes int) (*Stack, error) {
-	return BuildStack(StackConfig{
-		Mode:                    mode,
-		Seed:                    opt.seed(),
-		RngSeed:                 42,
-		LatencyScale:            opt.scale(),
-		BufferPoolPages:         expPoolPages,
-		DiskWidth:               2,
-		CacheNodes:              cacheNodes,
-		Replicas:                opt.Replicas,
-		ReuseTriggerConnections: reuseTriggerConns,
-		Obs:                     opt.Metrics,
-	})
-}
-
-// BuildStackForExp6 exposes the invalidation-bus knobs to the benchmark
-// harness. Aside from the async override it builds the standard experiment
-// stack, so opt's transport settings apply as everywhere else.
-func BuildStackForExp6(opt ExpOptions, mode Mode, async bool) (*Stack, error) {
-	opt.Async = async
-	return opt.buildStack(mode, 0, 0)
+	return runStack(opt.StackConfig(mode), opt.runCfg(clients, writePct, zipfA))
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"testing"
+	"time"
 
 	"cachegenie/internal/social"
 )
@@ -154,12 +155,23 @@ func TestAblationTemplateHitRateLower(t *testing.T) {
 	}
 }
 
-func TestBuildStackForBenchKnobs(t *testing.T) {
+// TestStackConfigKnobs: the base config carries the harness options, and
+// the fields an experiment overrides on it reach the built stack.
+func TestStackConfigKnobs(t *testing.T) {
 	opt := tinyOpts()
-	st, err := BuildStackForBench(opt, ModeUpdate, true, 2)
+	opt.Async, opt.BatchWindow, opt.Shards, opt.Replicas = true, time.Millisecond, 4, 2
+	cfg := opt.StackConfig(ModeUpdate)
+	if !cfg.AsyncInvalidation || cfg.BatchWindow != time.Millisecond || cfg.CacheShards != 4 ||
+		cfg.Replicas != 2 || cfg.LatencyScale != opt.LatencyScale || cfg.BufferPoolPages != expPoolPages {
+		t.Fatalf("base config dropped a harness option: %+v", cfg)
+	}
+	cfg.ReuseTriggerConnections = true
+	cfg.CacheNodes = 2
+	st, err := BuildStack(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(st.Close)
 	if len(st.Stores) != 2 {
 		t.Fatalf("stores = %d", len(st.Stores))
 	}
@@ -202,7 +214,9 @@ func TestExp6AsyncInvalidationSmoke(t *testing.T) {
 
 func TestAsyncStackRunsCleanly(t *testing.T) {
 	opt := tinyOpts()
-	st, err := BuildStackForExp6(opt, ModeUpdate, true)
+	cfg := opt.StackConfig(ModeUpdate)
+	cfg.AsyncInvalidation = true
+	st, err := BuildStack(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -62,7 +60,11 @@ func TestBuildStackRemoteTransport(t *testing.T) {
 
 func TestRemoteStackAsyncBusDrains(t *testing.T) {
 	opt := tinyOpts()
-	st, err := BuildStackForExp7(opt, ModeUpdate, TransportRemote, true)
+	cfg := opt.StackConfig(ModeUpdate)
+	cfg.CacheNodes = Exp7Nodes
+	cfg.Transport = TransportRemote
+	cfg.AsyncInvalidation = true
+	st, err := BuildStack(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +86,11 @@ func TestExp7RemoteClusterSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four full stack runs, two over TCP")
 	}
-	pts, err := Exp7(tinyOpts())
+	res, err := Exp7(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
+	pts := res.Points
 	if len(pts) != 4 {
 		t.Fatalf("points = %d, want 4", len(pts))
 	}
@@ -98,38 +101,18 @@ func TestExp7RemoteClusterSmoke(t *testing.T) {
 			t.Fatalf("%+v", p)
 		}
 		if p.Async {
-			if p.Bus.Enqueued == 0 {
+			if p.BusEnqueued == 0 {
 				t.Fatalf("async point saw no bus traffic: %+v", p)
 			}
-			if p.Bus.Applied+p.Bus.Coalesced != p.Bus.Enqueued {
-				t.Fatalf("bus did not drain fully: %+v", p.Bus)
+			if p.BusApplied+p.BusCoalesced != p.BusEnqueued {
+				t.Fatalf("bus did not drain fully: %+v", p)
 			}
-		} else if p.Bus.Enqueued != 0 {
+		} else if p.BusEnqueued != 0 {
 			t.Fatalf("sync point reports bus traffic: %+v", p)
 		}
 	}
 	if !seen["in-process"] || !seen["remote-tcp"] {
 		t.Fatalf("transports covered: %v", seen)
-	}
-}
-
-func TestWriteExp7JSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_exp7.json")
-	pts := []Exp7Point{
-		{Transport: TransportInProcess, Async: false, Throughput: 123.4},
-		{Transport: TransportRemote, Async: true, Throughput: 99.9},
-	}
-	if err := WriteExp7JSON(path, pts); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"exp7-remote-cluster"`, `"in-process"`, `"remote-tcp"`, `"throughput_pages_per_sec": 123.4`} {
-		if !strings.Contains(string(data), want) {
-			t.Fatalf("artifact missing %s:\n%s", want, data)
-		}
 	}
 }
 
